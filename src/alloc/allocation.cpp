@@ -1,8 +1,6 @@
 #include "alloc/allocation.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -124,9 +122,7 @@ Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
 
 bool Allocator::exclusion_clash(const Architecture& arch,
                                 const Cluster& cluster, int pe,
-                                const std::vector<int>& task_cluster,
-                                const std::vector<Cluster>& clusters) const {
-  (void)clusters;
+                                const std::vector<int>& task_cluster) const {
   for (int tid : cluster.tasks) {
     for (int other : flat_.exclusions(tid)) {
       const int oc = task_cluster[other];
@@ -137,7 +133,7 @@ bool Allocator::exclusion_clash(const Architecture& arch,
   return false;
 }
 
-bool Allocator::apply(Architecture& arch, const Cluster& cluster, int pe,
+void Allocator::apply(Architecture& arch, const Cluster& cluster, int pe,
                       int mode, const std::vector<int>& task_cluster) const {
   arch.place_cluster(cluster.id, pe, mode, cluster.graph, cluster.memory,
                      cluster.gates, cluster.pfus, cluster.pins);
@@ -258,21 +254,19 @@ bool Allocator::apply(Architecture& arch, const Cluster& cluster, int pe,
       wire_edge(eid, arch.cluster_pe[dc]);
     }
   }
-  return true;
 }
 
 std::vector<Allocator::Candidate> Allocator::enumerate(
     const Architecture& arch, const Cluster& cluster,
-    const std::vector<int>& task_cluster,
-    const std::vector<Cluster>& clusters) const {
+    const std::vector<int>& task_cluster) const {
   OBS_SPAN("alloc.enumerate");
   std::vector<Candidate> candidates;
   const double base_cost = arch.cost().total();
 
-  auto push = [&](const Architecture& applied, PeTypeId target_type,
+  auto push = [&](Architecture applied, PeTypeId target_type,
                   bool created_mode) {
     Candidate cand;
-    cand.arch = applied;
+    cand.arch = std::move(applied);
     cand.delta_cost = cand.arch.cost().total() - base_cost;
     cand.preference =
         cluster.preference.empty() ? 0 : cluster.preference[target_type];
@@ -282,8 +276,8 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
 
   auto try_existing = [&](int pe, int mode, bool created_mode) {
     Architecture applied = arch;
-    if (!apply(applied, cluster, pe, mode, task_cluster)) return;
-    push(applied, arch.pes[pe].type, created_mode);
+    apply(applied, cluster, pe, mode, task_cluster);
+    push(std::move(applied), arch.pes[pe].type, created_mode);
   };
 
   // --- existing PE instances ---
@@ -291,7 +285,7 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
     const PeInstance& inst = arch.pes[pe];
     const PeType& type = lib_.pe(inst.type);
     if (!cluster.feasible_pe[inst.type]) continue;
-    if (exclusion_clash(arch, cluster, pe, task_cluster, clusters)) continue;
+    if (exclusion_clash(arch, cluster, pe, task_cluster)) continue;
 
     switch (type.kind) {
       case PeKind::Cpu: {
@@ -399,18 +393,40 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
     if (!cluster.feasible_pe[type] || pe_type_pruned(type)) continue;
     Architecture applied = arch;
     const int pe = applied.add_pe(type);
-    if (!apply(applied, cluster, pe, 0, task_cluster)) continue;
-    push(applied, type, false);
+    apply(applied, cluster, pe, 0, task_cluster);
+    push(std::move(applied), type, false);
     candidates.back().new_instance = true;
   }
   return candidates;
 }
 
-ScheduleResult Allocator::evaluate(const SchedProblem& problem) {
+SchedProblem Allocator::problem_of(const Architecture& arch,
+                                   const std::vector<int>& task_cluster) const {
+  SchedProblem problem =
+      make_sched_problem(arch, flat_, task_cluster, params_.boot_estimate,
+                         params_.reboots_in_schedule);
+  problem.task_optimistic = &optimistic_exec_;
+  return problem;
+}
+
+ScheduleResult Allocator::evaluate(const Architecture& arch,
+                                   const std::vector<int>& task_cluster) {
+  const SchedProblem problem = problem_of(arch, task_cluster);
   OBS_SPAN("alloc.eval");
   ++sched_evals_;
   obs::count("alloc.sched_evals");
   return run_list_scheduler(problem, sched_levels_);
+}
+
+ScheduleResult Allocator::schedule_architecture(
+    const Architecture& arch, const std::vector<int>& task_cluster) const {
+  return run_list_scheduler(problem_of(arch, task_cluster), sched_levels_);
+}
+
+void Allocator::record_tallies(AllocationOutcome& outcome) const {
+  outcome.sched_evaluations = sched_evals_;
+  outcome.budget_exhausted = budget_exhausted_;
+  outcome.stopped = stopped_;
 }
 
 AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
@@ -478,9 +494,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   // Judging against the baseline rather than the previous commit's numbers
   // isolates each cluster's marginal effect from list-order churn caused by
   // priority recomputation.
-  TimeNs committed_tardiness = resume ? resume->committed_tardiness : 0;
-  TimeNs committed_estimate = resume ? resume->committed_estimate : 0;
-  int committed_failures = resume ? resume->committed_failures : 0;
+  ScheduleScore committed = resume ? resume->committed : ScheduleScore{};
 
   for (std::size_t step = already; step < clusters.size(); ++step) {
     int pick = -1;
@@ -492,7 +506,7 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     const Cluster& cluster = clusters[pick];
 
     std::vector<Candidate> candidates =
-        enumerate(outcome.arch, cluster, outcome.task_cluster, clusters);
+        enumerate(outcome.arch, cluster, outcome.task_cluster);
     obs::count("alloc.candidates",
                static_cast<std::int64_t>(candidates.size()));
     if (candidates.empty()) {
@@ -544,16 +558,8 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       candidates = std::move(kept);
     }
 
-    if (keep_going()) {
-      SchedProblem baseline = make_sched_problem(
-          outcome.arch, flat_, outcome.task_cluster, params_.boot_estimate,
-          params_.reboots_in_schedule);
-      baseline.task_optimistic = &optimistic_exec_;
-      const ScheduleResult base_schedule = evaluate(baseline);
-      committed_tardiness = base_schedule.total_tardiness;
-      committed_estimate = base_schedule.estimated_tardiness;
-      committed_failures = base_schedule.placement_failures;
-    }
+    if (keep_going())
+      committed = evaluate(outcome.arch, outcome.task_cluster).score();
 
     int best = -1;
     ScheduleResult best_schedule;
@@ -564,57 +570,23 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       // scheduling pass (so the returned schedule still matches the
       // returned architecture) instead of exploring the whole array.
       if (i > 0 && !keep_going()) break;
-      SchedProblem problem =
-          make_sched_problem(candidates[i].arch, flat_, outcome.task_cluster,
-                             params_.boot_estimate,
-                             params_.reboots_in_schedule);
-      problem.task_optimistic = &optimistic_exec_;
-      ScheduleResult schedule = evaluate(problem);
+      ScheduleResult schedule =
+          evaluate(candidates[i].arch, outcome.task_cluster);
       const bool power_ok =
           params_.power_cap_mw <= 0 ||
           candidates[i].arch.power_mw() <= params_.power_cap_mw;
-      if (power_ok &&
-          schedule.placement_failures <= committed_failures &&
-          schedule.total_tardiness <= committed_tardiness &&
-          schedule.estimated_tardiness <= committed_estimate) {
+      if (power_ok && schedule.score().no_worse_than(committed)) {
         best = static_cast<int>(i);
         best_schedule = std::move(schedule);
         accepted = true;
         break;
       }
-      const bool better =
-          best < 0 ||
-          schedule.placement_failures <
-              best_schedule.placement_failures ||
-          (schedule.placement_failures ==
-               best_schedule.placement_failures &&
-           schedule.total_tardiness + schedule.estimated_tardiness <
-               best_schedule.total_tardiness +
-                   best_schedule.estimated_tardiness);
-      if (better) {
+      if (best < 0 || schedule.score().better_than(best_schedule.score())) {
         best = static_cast<int>(i);
         best_schedule = std::move(schedule);
       }
     }
-    if (!accepted) {
-      ++outcome.clusters_with_misses;
-      if (std::getenv("CRUSADE_DEBUG"))
-        std::fprintf(  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
-            stderr,
-            "[alloc] cluster %d (graph %d, %zu tasks) committed dirty: "
-            "best(tard=%lld est=%lld fail=%d) vs base(tard=%lld est=%lld "
-            "fail=%d) over %zu candidates\n",
-            cluster.id, cluster.graph, cluster.tasks.size(),
-            static_cast<long long>(best_schedule.total_tardiness),
-            static_cast<long long>(best_schedule.estimated_tardiness),
-            best_schedule.placement_failures,
-            static_cast<long long>(committed_tardiness),
-            static_cast<long long>(committed_estimate), committed_failures,
-            candidates.size());
-    }
-    if (std::getenv("CRUSADE_DEBUG") && candidates[best].created_mode)
-      std::fprintf(stderr, "[alloc] cluster %d -> new mode (graph %d)\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
-                   cluster.id, cluster.graph);
+    if (!accepted) ++outcome.clusters_with_misses;
     outcome.arch = std::move(candidates[best].arch);
     outcome.schedule = std::move(best_schedule);
     placed[pick] = 1;
@@ -631,30 +603,15 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       progress.placed = &placed;
       progress.sched_evals = sched_evals_;
       progress.clusters_with_misses = outcome.clusters_with_misses;
-      progress.committed_tardiness = committed_tardiness;
-      progress.committed_estimate = committed_estimate;
-      progress.committed_failures = committed_failures;
+      progress.committed = committed;
       progress.stopped = stopped_;
       params_.progress_hook(progress);
     }
   }
 
-  repair(outcome, clusters);
-
+  repair(outcome, clusters);  // also records the tallies
   outcome.feasible = outcome.schedule.feasible;
-  outcome.sched_evaluations = sched_evals_;
-  outcome.budget_exhausted = budget_exhausted_;
-  outcome.stopped = stopped_;
   return outcome;
-}
-
-ScheduleResult Allocator::schedule_architecture(
-    const Architecture& arch, const std::vector<int>& task_cluster) const {
-  SchedProblem problem =
-      make_sched_problem(arch, flat_, task_cluster, params_.boot_estimate,
-                         params_.reboots_in_schedule);
-  problem.task_optimistic = &optimistic_exec_;
-  return run_list_scheduler(problem, sched_levels_);
 }
 
 int Allocator::evacuate_devices(AllocationOutcome& outcome,
@@ -687,7 +644,7 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
       bool all_placed = true;
       for (int c : residents) {
         std::vector<Candidate> candidates =
-            enumerate(trial, clusters[c], outcome.task_cluster, clusters);
+            enumerate(trial, clusters[c], outcome.task_cluster);
         // Forbid returning to the victim or opening a fresh device: the
         // point is to live inside the remaining architecture.  Pick the
         // cheapest eligible placement.
@@ -708,12 +665,7 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
       if (!all_placed) continue;
       if (trial.cost().total() >= outcome.arch.cost().total()) continue;
 
-      SchedProblem problem =
-          make_sched_problem(trial, flat_, outcome.task_cluster,
-                             params_.boot_estimate,
-                             params_.reboots_in_schedule);
-      problem.task_optimistic = &optimistic_exec_;
-      ScheduleResult schedule = evaluate(problem);
+      ScheduleResult schedule = evaluate(trial, outcome.task_cluster);
       const bool acceptable =
           schedule.placement_failures <=
               outcome.schedule.placement_failures &&
@@ -727,9 +679,7 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
     if (!improved) break;
   }
   relax_fpga_purity_ = false;
-  outcome.sched_evaluations = sched_evals_;
-  outcome.budget_exhausted = budget_exhausted_;
-  outcome.stopped = stopped_;
+  record_tallies(outcome);
   return emptied;
 }
 
@@ -806,15 +756,7 @@ void Allocator::repair(AllocationOutcome& outcome,
     }
     if (rewired_count == 0) break;
     if (!keep_going()) break;
-    SchedProblem problem = make_sched_problem(
-        trial, flat_, outcome.task_cluster, params_.boot_estimate,
-        params_.reboots_in_schedule);
-    problem.task_optimistic = &optimistic_exec_;
-    ScheduleResult schedule = evaluate(problem);
-    if (std::getenv("CRUSADE_DEBUG"))
-      std::fprintf(stderr, "[rewire] batch of %d: fail %d->%d\n",  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG is set
-                   rewired_count, outcome.schedule.placement_failures,
-                   schedule.placement_failures);
+    ScheduleResult schedule = evaluate(trial, outcome.task_cluster);
     if (schedule.placement_failures >= outcome.schedule.placement_failures &&
         schedule.total_tardiness >= outcome.schedule.total_tardiness)
       break;
@@ -868,37 +810,23 @@ void Allocator::repair(AllocationOutcome& outcome,
                     offenders.end());
 
     bool improved = false;
-    for (const auto& [badness, cid] : offenders) {
-      (void)badness;
+    for (const auto& offender : offenders) {
+      const int cid = offender.second;
       const Cluster& cluster = clusters[cid];
-      const int old_pe = outcome.arch.cluster_pe[cid];
-      const int old_mode = outcome.arch.cluster_mode[cid];
-      if (old_pe < 0) continue;  // displaced by an earlier move this pass
+      if (outcome.arch.cluster_pe[cid] < 0) continue;  // displaced this pass
       Architecture stripped = outcome.arch;
       unplace(stripped, cluster, clusters);
 
       std::vector<Candidate> candidates =
-          enumerate(stripped, cluster, outcome.task_cluster, clusters);
+          enumerate(stripped, cluster, outcome.task_cluster);
       int best = -1;
       ScheduleResult best_schedule;
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (!keep_going()) break;
-        SchedProblem problem =
-            make_sched_problem(candidates[i].arch, flat_,
-                               outcome.task_cluster, params_.boot_estimate,
-                               params_.reboots_in_schedule);
-        problem.task_optimistic = &optimistic_exec_;
-        ScheduleResult schedule = evaluate(problem);
-        const bool better =
-            best < 0 ||
-            schedule.placement_failures <
-                best_schedule.placement_failures ||
-            (schedule.placement_failures ==
-                 best_schedule.placement_failures &&
-             schedule.total_tardiness + schedule.estimated_tardiness <
-                 best_schedule.total_tardiness +
-                     best_schedule.estimated_tardiness);
-        if (better) {
+        ScheduleResult schedule =
+            evaluate(candidates[i].arch, outcome.task_cluster);
+        if (best < 0 ||
+            schedule.score().better_than(best_schedule.score())) {
           best = static_cast<int>(i);
           best_schedule = std::move(schedule);
         }
@@ -921,15 +849,11 @@ void Allocator::repair(AllocationOutcome& outcome,
         improved = true;
         if (outcome.schedule.feasible) break;
       }
-      (void)old_pe;
-      (void)old_mode;
     }
     if (!improved) break;
   }
   relax_fpga_purity_ = false;
-  outcome.sched_evaluations = sched_evals_;
-  outcome.budget_exhausted = budget_exhausted_;
-  outcome.stopped = stopped_;
+  record_tallies(outcome);
 }
 
 }  // namespace crusade

@@ -22,8 +22,8 @@
 namespace crusade {
 
 /// Snapshot handed to the progress hook after every committed whole-cluster
-/// placement in Allocator::run.  `committed_*` carry the acceptance bar (the
-/// last baseline schedule's numbers) — after budget exhaustion the baseline
+/// placement in Allocator::run.  `committed` is the acceptance bar (the last
+/// baseline schedule's score) — after budget exhaustion the baseline
 /// is no longer recomputed, so a resume point must restore the stale bar
 /// exactly or the dirty-commit count of a resumed run could drift.
 /// `stopped` is true once the anytime control has truncated the search —
@@ -35,9 +35,7 @@ struct AllocProgress {
   const std::vector<char>* placed = nullptr;
   int sched_evals = 0;
   int clusters_with_misses = 0;
-  TimeNs committed_tardiness = 0;
-  TimeNs committed_estimate = 0;
-  int committed_failures = 0;
+  ScheduleScore committed;
   bool stopped = false;
 };
 
@@ -52,9 +50,7 @@ struct AllocResumeState {
   Architecture arch;
   std::vector<char> placed;
   int clusters_with_misses = 0;
-  TimeNs committed_tardiness = 0;
-  TimeNs committed_estimate = 0;
-  int committed_failures = 0;
+  ScheduleScore committed;
 };
 
 /// Estimate of a programmable device's reconfiguration time given the logic
@@ -176,12 +172,12 @@ class Allocator {
                         const Architecture* seed_arch = nullptr,
                         const AllocResumeState* resume = nullptr);
 
-  /// Re-derives the schedule of an architecture exactly as evaluate()
-  /// would — same problem construction, same optimistic estimates, same
-  /// canonical priority levels — WITHOUT counting against the evaluation
-  /// budget.  Checkpoint resume uses it to rebuild the schedule that was
-  /// deliberately not serialized (it is a pure function of the
-  /// architecture).
+  /// Re-derives the schedule of an architecture through the same seam as
+  /// every search evaluation — same problem construction, same optimistic
+  /// estimates, same canonical priority levels — WITHOUT counting against
+  /// the evaluation budget.  Checkpoint resume uses it to rebuild the
+  /// schedule that was deliberately not serialized (it is a pure function
+  /// of the architecture).
   ScheduleResult schedule_architecture(
       const Architecture& arch, const std::vector<int>& task_cluster) const;
 
@@ -228,22 +224,28 @@ class Allocator {
 
   std::vector<Candidate> enumerate(const Architecture& arch,
                                    const Cluster& cluster,
-                                   const std::vector<int>& task_cluster,
-                                   const std::vector<Cluster>& clusters) const;
-  /// Applies placement + link wiring on a copy; returns false if wiring is
-  /// impossible (link library exhausted for the topology).
-  bool apply(Architecture& arch, const Cluster& cluster, int pe, int mode,
+                                   const std::vector<int>& task_cluster) const;
+  /// Applies placement + link wiring (reusing, extending or adding a link
+  /// for every boundary edge to an already-placed cluster).
+  void apply(Architecture& arch, const Cluster& cluster, int pe, int mode,
              const std::vector<int>& task_cluster) const;
   bool exclusion_clash(const Architecture& arch, const Cluster& cluster,
-                       int pe, const std::vector<int>& task_cluster,
-                       const std::vector<Cluster>& clusters) const;
+                       int pe, const std::vector<int>& task_cluster) const;
   /// Reverses a placement (capacity bookkeeping + boundary edge links).
   void unplace(Architecture& arch, const Cluster& cluster,
                const std::vector<Cluster>& clusters) const;
 
-  /// Budget-counted scheduling: every schedule evaluation in allocation,
-  /// repair and evacuation funnels through here.
-  ScheduleResult evaluate(const SchedProblem& problem);
+  /// The schedule-evaluation seam.  problem_of is the allocator's one
+  /// problem builder; evaluate is budget-counted scheduling — every
+  /// schedule evaluation in allocation, repair and evacuation funnels
+  /// through it — and schedule_architecture is the same path uncounted.
+  SchedProblem problem_of(const Architecture& arch,
+                          const std::vector<int>& task_cluster) const;
+  ScheduleResult evaluate(const Architecture& arch,
+                          const std::vector<int>& task_cluster);
+  /// Copies the allocator-lifetime tallies (evaluations, budget exhaustion,
+  /// stop) onto an outcome at the end of each pass.
+  void record_tallies(AllocationOutcome& outcome) const;
   /// One gate for both truncation causes, polled wherever the search can
   /// stop refining: the evaluation budget (deterministic — a resumed run
   /// hits it at the same evaluation) and the anytime stop/deadline control

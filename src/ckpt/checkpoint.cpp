@@ -21,9 +21,9 @@ std::string checkpoint_payload(const Checkpoint& c) {
   payload.vec_u8(c.placed);
   payload.i64(c.sched_evals);
   payload.i32(c.clusters_with_misses);
-  payload.i64(c.committed_tardiness);
-  payload.i64(c.committed_estimate);
-  payload.i32(c.committed_failures);
+  payload.i64(c.committed.tardiness);
+  payload.i64(c.committed.estimate);
+  payload.i32(c.committed.failures);
   write_merge_report(payload, c.merge_report);
   write_run_stats(payload, c.stats);
   return payload.bytes();
@@ -81,9 +81,9 @@ Checkpoint decode_checkpoint(const std::string& bytes,
   c.placed = r.vec_u8();
   c.sched_evals = r.i64();
   c.clusters_with_misses = r.i32();
-  c.committed_tardiness = r.i64();
-  c.committed_estimate = r.i64();
-  c.committed_failures = r.i32();
+  c.committed.tardiness = r.i64();
+  c.committed.estimate = r.i64();
+  c.committed.failures = r.i32();
   c.merge_report = read_merge_report(r);
   c.stats = read_run_stats(r);
   if (!r.at_end())

@@ -32,6 +32,7 @@
 #include "alloc/architecture.hpp"
 #include "obs/runstats.hpp"
 #include "reconfig/merge.hpp"
+#include "sched/scheduler.hpp"
 
 namespace crusade::ckpt {
 
@@ -72,9 +73,7 @@ struct Checkpoint {
   /// Allocation acceptance bar at the checkpoint state (AllocProgress):
   /// restored verbatim because after budget exhaustion the bar goes stale on
   /// purpose and a resumed run must inherit the same stale values.
-  TimeNs committed_tardiness = 0;
-  TimeNs committed_estimate = 0;
-  int committed_failures = 0;
+  ScheduleScore committed;
   /// Merge-loop progress (Merge/MergeDone stages; default elsewhere).
   MergeReport merge_report;
   /// Accumulated pre-crash statistics: phase wall times and counters as of

@@ -232,9 +232,7 @@ CrusadeResult Crusade::run() {
       c.placed = *p.placed;
       c.sched_evals = p.sched_evals;
       c.clusters_with_misses = p.clusters_with_misses;
-      c.committed_tardiness = p.committed_tardiness;
-      c.committed_estimate = p.committed_estimate;
-      c.committed_failures = p.committed_failures;
+      c.committed = p.committed;
       c.stats = snapshot_stats(&RunStats::allocation_seconds);
       c.stats.sched_evals = p.sched_evals;
       write_checkpoint(c);
@@ -269,9 +267,7 @@ CrusadeResult Crusade::run() {
         alloc_resume.arch = resume->arch;
         alloc_resume.placed = resume->placed;
         alloc_resume.clusters_with_misses = resume->clusters_with_misses;
-        alloc_resume.committed_tardiness = resume->committed_tardiness;
-        alloc_resume.committed_estimate = resume->committed_estimate;
-        alloc_resume.committed_failures = resume->committed_failures;
+        alloc_resume.committed = resume->committed;
         resume_ptr = &alloc_resume;
       }
       outcome = allocator.run(result.clusters, nullptr, resume_ptr);

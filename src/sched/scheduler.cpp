@@ -1,8 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <queue>
 
 #include "obs/obs.hpp"
@@ -109,12 +107,6 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
         result.timelines[res].earliest_fit(0, boot, period, mode);
     if (start == kNoTime) {
       ++result.placement_failures;
-      if (std::getenv("CRUSADE_DEBUG_SCHED"))
-        std::fprintf(stderr,  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG_SCHED is set
-                     "[sched] reboot fail: res=%d mode=%d boot=%lld "
-                     "period=%lld\n",
-                     res, mode, static_cast<long long>(boot),
-                     static_cast<long long>(period));
       done = 0;  // give up on modeling this reboot; failure already recorded
       return 0;
     }
@@ -150,13 +142,6 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
         if (e_start == kNoTime) {
           ++result.placement_failures;
           result.failed_edges.push_back(eid);
-          if (std::getenv("CRUSADE_DEBUG_SCHED"))
-            std::fprintf(stderr,  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG_SCHED is set
-                         "[sched] edge %d fail: link=%d comm=%lld "
-                         "period=%lld windows=%zu\n",
-                         eid, link, static_cast<long long>(comm),
-                         static_cast<long long>(period),
-                         result.timelines[link].windows().size());
           inputs_ok = false;
           break;
         }
@@ -230,16 +215,6 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
     }
     if (start == kNoTime) {
       ++result.placement_failures;
-      if (std::getenv("CRUSADE_DEBUG_SCHED"))
-        std::fprintf(stderr,  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG_SCHED is set
-                     "[sched] task %d fail: res=%d preempt=%d conc=%d "
-                     "exec=%lld dur=%lld period=%lld mode=%d windows=%zu\n",
-                     tid, res, info.preemptive ? 1 : 0,
-                     info.concurrent ? 1 : 0,
-                     static_cast<long long>(problem.task_exec[tid]),
-                     static_cast<long long>(duration),
-                     static_cast<long long>(period), mode,
-                     tl.windows().size());
       release_successors();
       continue;
     }
@@ -283,17 +258,8 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
       if (!known) continue;
       estimate[tid] = ready + optimistic[tid];
       const TimeNs deadline = flat.absolute_deadline(tid);
-      if (deadline != kNoTime && estimate[tid] > deadline) {
+      if (deadline != kNoTime && estimate[tid] > deadline)
         result.estimated_tardiness += estimate[tid] - deadline;
-        if (std::getenv("CRUSADE_DEBUG_SCHED"))
-          std::fprintf(stderr,  // check-allow(C004): stderr debug aid, dead unless CRUSADE_DEBUG_SCHED is set
-                       "[sched] estimate miss: task %d est=%lld dl=%lld "
-                       "ready=%lld opt=%lld\n",
-                       tid, static_cast<long long>(estimate[tid]),
-                       static_cast<long long>(deadline),
-                       static_cast<long long>(ready),
-                       static_cast<long long>(optimistic[tid]));
-      }
     }
   }
 

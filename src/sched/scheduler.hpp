@@ -49,6 +49,26 @@ struct SchedProblem {
   const std::vector<TimeNs>* task_optimistic = nullptr;
 };
 
+/// The three numbers candidate evaluation compares (§5: scheduling plus
+/// finish-time estimation).
+struct ScheduleScore {
+  int failures = 0;      ///< ScheduleResult::placement_failures
+  TimeNs tardiness = 0;  ///< ScheduleResult::total_tardiness
+  TimeNs estimate = 0;   ///< ScheduleResult::estimated_tardiness
+
+  /// The best-of ordering: fewer failures, then less tardiness plus
+  /// estimated tardiness.
+  bool better_than(const ScheduleScore& other) const {
+    if (failures != other.failures) return failures < other.failures;
+    return tardiness + estimate < other.tardiness + other.estimate;
+  }
+  /// The acceptance test: no worse than `bar` on any of the three.
+  bool no_worse_than(const ScheduleScore& bar) const {
+    return failures <= bar.failures && tardiness <= bar.tardiness &&
+           estimate <= bar.estimate;
+  }
+};
+
 struct ScheduleResult {
   std::vector<TimeNs> task_start, task_finish;  ///< kNoTime = not scheduled
   std::vector<TimeNs> edge_start, edge_finish;
@@ -67,6 +87,9 @@ struct ScheduleResult {
   bool feasible = false;  ///< all schedulable tasks placed, no tardiness
 
   bool deadline_met(int tid, const FlatSpec& flat) const;
+  ScheduleScore score() const {
+    return {placement_failures, total_tardiness, estimated_tardiness};
+  }
 };
 
 /// Runs the list scheduler; tasks whose ancestry is not fully allocated are

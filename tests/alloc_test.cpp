@@ -285,5 +285,41 @@ TEST(MakeSchedProblemTest, MapsAllocationFaithfully) {
   }
 }
 
+// --- the schedule-evaluation seam ---
+
+void expect_same_schedule(const ScheduleResult& got,
+                          const ScheduleResult& want) {
+  EXPECT_EQ(got.task_start, want.task_start);
+  EXPECT_EQ(got.task_finish, want.task_finish);
+  EXPECT_EQ(got.placement_failures, want.placement_failures);
+  EXPECT_EQ(got.total_tardiness, want.total_tardiness);
+  EXPECT_EQ(got.estimated_tardiness, want.estimated_tardiness);
+}
+
+TEST(AllocatorSeamTest, ScheduleArchitectureReproducesSearchSchedule) {
+  // Every schedule the search commits comes out of the one evaluation
+  // path, so re-deriving it from the committed architecture (uncounted, as
+  // checkpoint resume does) must give it back exactly: after allocation and
+  // repair, and again after device evacuation has moved clusters.
+  for (const std::uint64_t seed : {4u, 12u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Specification spec = small_spec(seed, 70);
+    const FlatSpec flat(spec);
+    const auto clusters = cluster_tasks(flat, lib(), ClusteringParams{});
+    Allocator allocator(flat, lib(), nullptr, AllocParams{});
+    AllocationOutcome outcome = allocator.run(clusters);
+    const int evals = outcome.sched_evaluations;
+    expect_same_schedule(
+        allocator.schedule_architecture(outcome.arch, outcome.task_cluster),
+        outcome.schedule);
+
+    EXPECT_GT(allocator.evacuate_devices(outcome, clusters), 0);
+    EXPECT_GT(outcome.sched_evaluations, evals);
+    expect_same_schedule(
+        allocator.schedule_architecture(outcome.arch, outcome.task_cluster),
+        outcome.schedule);
+  }
+}
+
 }  // namespace
 }  // namespace crusade

@@ -183,9 +183,7 @@ ckpt::Checkpoint sample_checkpoint() {
   c.placed.assign(7, 1);
   c.sched_evals = 321;
   c.clusters_with_misses = 2;
-  c.committed_tardiness = 12345;
-  c.committed_estimate = -6789;
-  c.committed_failures = 3;
+  c.committed = {3, 12345, -6789};
   c.merge_report = r.merge_report;
   c.stats = r.stats;
   return c;
@@ -201,9 +199,9 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back.placed, c.placed);
   EXPECT_EQ(back.sched_evals, c.sched_evals);
   EXPECT_EQ(back.clusters_with_misses, c.clusters_with_misses);
-  EXPECT_EQ(back.committed_tardiness, c.committed_tardiness);
-  EXPECT_EQ(back.committed_estimate, c.committed_estimate);
-  EXPECT_EQ(back.committed_failures, c.committed_failures);
+  EXPECT_EQ(back.committed.tardiness, c.committed.tardiness);
+  EXPECT_EQ(back.committed.estimate, c.committed.estimate);
+  EXPECT_EQ(back.committed.failures, c.committed.failures);
   EXPECT_EQ(back.stats.sched_evals, c.stats.sched_evals);
   EXPECT_EQ(back.stats.repair_moves, c.stats.repair_moves);
   EXPECT_DOUBLE_EQ(back.stats.allocation_seconds, c.stats.allocation_seconds);

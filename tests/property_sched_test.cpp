@@ -167,7 +167,7 @@ TEST(UnplaceTest, RestoresCapacityAndLinkDemand) {
   SpecGenerator gen(lib);
   SpecGenConfig cfg;
   cfg.total_tasks = 40;
-  cfg.seed = 5;
+  cfg.seed = 13;  // a spec on which evacuation empties devices
   const Specification spec = gen.generate(cfg);
   const FlatSpec flat(spec);
   const auto clusters = cluster_tasks(flat, lib, ClusteringParams{});
@@ -175,24 +175,37 @@ TEST(UnplaceTest, RestoresCapacityAndLinkDemand) {
   AllocationOutcome outcome = allocator.run(clusters);
   ASSERT_TRUE(outcome.feasible);
 
-  // Rip every cluster back out via the repair path's primitive (exercised
-  // through evacuation on a copy): all capacity counters must return to
-  // zero when every device empties.
-  Architecture arch = outcome.arch;
-  // Evacuation keeps the architecture valid; instead verify global
-  // conservation: sum of per-mode pfus equals sum over clusters.
-  int pfus_in_arch = 0;
+  // Evacuation rips every resident out of a victim device with unplace()
+  // and re-places it elsewhere; an accepted evacuation keeps the unplaced
+  // bookkeeping.  Capacity is conserved across the whole architecture: the
+  // per-mode and per-device counters sum to exactly the clusters' demand,
+  // and no link's committed transfer time goes negative.
+  ASSERT_GT(allocator.evacuate_devices(outcome, clusters), 0);
+  const Architecture& arch = outcome.arch;
+  int pfus_in_arch = 0, gates_in_arch = 0, pins_in_arch = 0;
   for (const PeInstance& inst : arch.pes)
-    for (const Mode& m : inst.modes) pfus_in_arch += m.pfus_used;
-  int pfus_in_clusters = 0;
-  for (const Cluster& c : clusters) pfus_in_clusters += c.pfus;
+    for (const Mode& m : inst.modes) {
+      pfus_in_arch += m.pfus_used;
+      gates_in_arch += m.gates_used;
+      pins_in_arch += m.pins_used;
+    }
+  int pfus_in_clusters = 0, gates_in_clusters = 0, pins_in_clusters = 0;
+  for (const Cluster& c : clusters) {
+    pfus_in_clusters += c.pfus;
+    gates_in_clusters += c.gates;
+    pins_in_clusters += c.pins;
+  }
   EXPECT_EQ(pfus_in_arch, pfus_in_clusters);
+  EXPECT_EQ(gates_in_arch, gates_in_clusters);
+  EXPECT_EQ(pins_in_arch, pins_in_clusters);
 
   std::int64_t mem_in_arch = 0;
   for (const PeInstance& inst : arch.pes) mem_in_arch += inst.memory_used;
   std::int64_t mem_in_clusters = 0;
   for (const Cluster& c : clusters) mem_in_clusters += c.memory;
   EXPECT_EQ(mem_in_arch, mem_in_clusters);
+
+  for (TimeNs comm : arch.link_total_comm) EXPECT_GE(comm, 0);
 }
 
 }  // namespace
