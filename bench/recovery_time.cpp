@@ -7,7 +7,8 @@
 // phases a restart actually pays for:
 //
 //   * fsck_spool in classify-only mode — journal replay + full spool scan;
-//   * Service construction — fsck with repair, recovery, ledger recount.
+//   * Service construction — one repairing fsck scrub, then adoption of
+//     what it read (results, frames, cache, the ledger inventory).
 //
 // The honesty gate makes the numbers mean something: after every timed
 // boot, all N terminal answers must be back (results_recovered) and all M
@@ -36,7 +37,7 @@ struct RecoveryPoint {
   int terminal = 0;   ///< durable results on disk at boot
   int parked = 0;     ///< spooled frames awaiting re-admission
   double fsck_ms = 0;       ///< classify-only scrub of the dirty spool
-  double recover_ms = 0;    ///< full Service boot: fsck + replay + recount
+  double recover_ms = 0;    ///< full Service boot: repairing scrub + adoption
   long long results_recovered = 0;
   long long frames_recovered = 0;  ///< re-admitted + reconciled
   long long disk_bytes = 0;

@@ -12,6 +12,7 @@
 #include "util/disk_format.hpp"
 #include "util/error.hpp"
 #include "util/io_faults.hpp"
+#include "util/json_writer.hpp"
 
 namespace crusade::serve {
 
@@ -195,7 +196,40 @@ DurableResult decode_durable_result(const std::string& payload) {
   return out;
 }
 
+std::string failure_body(JobKind kind, const char* error_class,
+                         const std::string& message, int attempts) {
+  tools::JsonWriter w;
+  w.begin_object()
+      .key("kind").value(to_string(kind))
+      .key("error").value(message)
+      .key("error_class").value(error_class)
+      .key("attempts").value(attempts)
+      .end_object();
+  return w.str();
+}
+
 // --- journal --------------------------------------------------------------
+
+JournalRecord admitted_record(std::uint64_t id, const SubmitRequest& request) {
+  JournalRecord rec;
+  rec.type = JournalRecordType::Admitted;
+  rec.id = id;
+  rec.kind = static_cast<std::uint8_t>(request.kind);
+  rec.spec_fnv = ckpt::fnv1a(request.spec_text);
+  return rec;
+}
+
+JournalRecord terminal_record(const DurableResult& r,
+                              std::uint64_t result_fnv) {
+  JournalRecord rec;
+  rec.type = JournalRecordType::Terminal;
+  rec.id = r.id;
+  rec.kind = static_cast<std::uint8_t>(r.kind);
+  rec.outcome = static_cast<std::uint8_t>(r.outcome);
+  rec.attempts = static_cast<std::uint32_t>(r.attempts < 0 ? 0 : r.attempts);
+  rec.result_fnv = result_fnv;
+  return rec;
+}
 
 Journal::~Journal() { close(); }
 
@@ -273,8 +307,8 @@ JournalReplay Journal::replay(const std::string& path) {
   std::string bytes;
   try {
     bytes = read_file(path);
-  } catch (const Error& e) {
-    out.header_error = std::string("journal unreadable: ") + e.what();
+  } catch (const IoError& e) {
+    out.read_error = e.what();
     return out;
   }
   if (bytes.size() < kJournalHeaderBytes ||

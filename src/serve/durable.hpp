@@ -71,6 +71,12 @@ std::string encode_durable_result(const DurableResult& r);
 /// Throws Error on truncation, trailing bytes, or out-of-range enums.
 DurableResult decode_durable_result(const std::string& payload);
 
+/// The result body of every answer that is a failure rather than a
+/// synthesis result (cancellation, crash budget, fsck tombstone):
+/// {"kind","error","error_class","attempts"}.
+std::string failure_body(JobKind kind, const char* error_class,
+                         const std::string& message, int attempts);
+
 // --- the write-ahead journal ---------------------------------------------
 
 enum class JournalRecordType : std::uint8_t {
@@ -95,6 +101,13 @@ struct JournalRecord {
   std::uint64_t result_fnv = 0;  ///< Terminal: fnv1a of the result file bytes
 };
 
+/// The Admitted record for job `id` spooled from `request`.
+JournalRecord admitted_record(std::uint64_t id, const SubmitRequest& request);
+/// The Terminal record for durable result `r`; `result_fnv` fingerprints
+/// its framed file (0 = unchecked).
+JournalRecord terminal_record(const DurableResult& r,
+                              std::uint64_t result_fnv);
+
 /// Journal replay verdict: the valid prefix, and whether (and where) the
 /// tail was torn.  A missing file replays as empty and clean.
 struct JournalReplay {
@@ -107,6 +120,10 @@ struct JournalReplay {
   /// Non-empty when the file exists but its header is unreadable (foreign
   /// magic, unsupported version): the journal must be rebuilt, not trusted.
   std::string header_error;
+  /// Non-empty when the file exists but reading it failed (I/O error): its
+  /// contents are unknown — neither torn nor corrupt, so nothing may be
+  /// rebuilt from (or instead of) it.
+  std::string read_error;
 };
 
 /// Append-only writer.  Appends go through the iofault seam (xwrite/xfsync)

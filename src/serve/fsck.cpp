@@ -75,22 +75,6 @@ struct JournalState {
   std::uint8_t kind = 0;
 };
 
-std::string tombstone_body(std::uint8_t kind, const char* klass,
-                           const std::string& message, int attempts) {
-  const std::uint8_t max_kind =
-      static_cast<std::uint8_t>(JobKind::Survive);
-  const JobKind k =
-      kind <= max_kind ? static_cast<JobKind>(kind) : JobKind::Run;
-  tools::JsonWriter w;
-  w.begin_object()
-      .key("kind").value(to_string(k))
-      .key("error").value(message)
-      .key("error_class").value(klass)
-      .key("attempts").value(attempts)
-      .end_object();
-  return w.str();
-}
-
 /// Stateful helper so every repair records its outcome uniformly and a
 /// chaos-refused repair degrades to "repair-failed", never a throw.
 class Scrub {
@@ -136,6 +120,13 @@ class Scrub {
     return false;
   }
 
+  /// A read that failed is not evidence of corruption: the file stays as
+  /// it is, and the scrub reports itself incomplete.
+  void unreadable(std::uint64_t id, const std::string& path,
+                  const std::string& why) {
+    failed(add(FsckFinding::Unreadable, id, path), why);
+  }
+
   bool remove(FsckItem& item) {
     if (!repair_) return false;
     if (iofault::xunlink(item.path.c_str()) == 0 || errno == ENOENT) {
@@ -168,6 +159,7 @@ const char* to_string(FsckFinding finding) {
     case FsckFinding::CorruptCacheEntry: return "corrupt-cache-entry";
     case FsckFinding::TempDebris: return "temp-debris";
     case FsckFinding::LedgerDrift: return "ledger-drift";
+    case FsckFinding::Unreadable: return "unreadable";
   }
   return "?";
 }
@@ -209,7 +201,8 @@ std::string FsckReport::to_json() const {
   return w.str();
 }
 
-FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
+FsckReport fsck_spool(const std::string& spool_dir, bool repair,
+                      SpoolImage* live) {
   FsckReport report;
   Scrub scrub(spool_dir, repair, &report);
   make_dir_quiet(spool_dir);
@@ -221,11 +214,17 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
        {jobs_dir, cache_dir, results_dir, journal_dir})
     make_dir_quiet(dir);
   const std::string journal_path = journal_dir + "/wal";
+  std::uint64_t max_id = 0;
 
   // --- 1. journal: replay the valid prefix, repair the tail -------------
   JournalReplay replayed = Journal::replay(journal_path);
   report.journal_records = replayed.records.size();
-  if (!replayed.missing && !replayed.header_error.empty()) {
+  // Every orphan, stale-by-journal and tombstone verdict below trusts the
+  // journal; a journal that could not be read vouches for nothing.
+  const bool journal_known = replayed.read_error.empty();
+  if (!journal_known) {
+    scrub.unreadable(0, journal_path, replayed.read_error);
+  } else if (!replayed.missing && !replayed.header_error.empty()) {
     FsckItem& item =
         scrub.add(FsckFinding::CorruptJournal, 0, journal_path);
     item.action = "detected: " + replayed.header_error;
@@ -273,6 +272,10 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
 
   // Records fsck itself must append (adoptions, tombstone terminals).
   std::vector<JournalRecord> adoptions;
+  // Ids whose result or spool file could not be read (never tombstoned) or
+  // whose tombstone could not be written: their journal records outlive
+  // compaction (SpoolImage::unsettled).
+  std::set<std::uint64_t> unsettled;
 
   // --- 2. durable results: CRC + journal fingerprint --------------------
   std::set<std::uint64_t> valid_results;
@@ -281,15 +284,22 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
     const std::uint64_t id = leading_id(name);
     const std::string path = results_dir + "/" + name;
     if (id == 0) continue;  // classified by the recount sweep below
+    max_id = std::max(max_id, id);
     std::string raw;
+    try {
+      raw = read_file(path);
+    } catch (const IoError& e) {
+      unsettled.insert(id);
+      scrub.unreadable(id, path, e.what());
+      continue;
+    }
     bool whole = false;
     DurableResult result;
     try {
-      raw = read_file(path);
       result = decode_durable_result(
           diskfmt::unframe(raw, kDurableResultMagic, kDurableResultVersion)
               .payload);
-      whole = result.id == id;
+      whole = result.id == id && valid_results.count(id) == 0;
     } catch (const Error&) {
       whole = false;
     }
@@ -309,20 +319,12 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
       continue;
     }
     valid_results.insert(id);
-    if (!have_terminal) {
+    if (!have_terminal && journal_known) {
       // The result file is the truth the journal lost (crash between the
       // result write and the terminal append): adopt it.
       FsckItem& item = scrub.add(FsckFinding::OrphanResult, id, path);
       if (repair) {
-        JournalRecord rec;
-        rec.type = JournalRecordType::Terminal;
-        rec.id = id;
-        rec.kind = static_cast<std::uint8_t>(result.kind);
-        rec.outcome = static_cast<std::uint8_t>(result.outcome);
-        rec.attempts = static_cast<std::uint32_t>(
-            result.attempts < 0 ? 0 : result.attempts);
-        rec.result_fnv = fnv;
-        adoptions.push_back(rec);
+        adoptions.push_back(terminal_record(result, fnv));
         scrub.did_repair(item, "adopted");
       }
       JournalState& state = journal_state[id];
@@ -330,6 +332,7 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
       state.evicted = false;
       state.kind = static_cast<std::uint8_t>(result.kind);
     }
+    if (live != nullptr) live->results.push_back({std::move(result), fnv});
   }
 
   // --- 3. job spool: frame validity, staleness, journal membership ------
@@ -337,20 +340,31 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
   for (const std::string& name : scan_dir(jobs_dir)) {
     if (!ends_with(name, ".job")) continue;
     const std::string path = jobs_dir + "/" + name;
-    std::uint64_t id = 0;
+    max_id = std::max(max_id, leading_id(name));
     std::string raw;
     try {
       raw = read_file(path);
+    } catch (const IoError& e) {
+      unsettled.insert(leading_id(name));
+      scrub.unreadable(leading_id(name), path, e.what());
+      continue;
+    }
+    std::uint64_t id = 0;
+    SubmitRequest request;
+    try {
       const Request frame = decode_frame(
           diskfmt::unframe(raw, kSpoolJobMagic, kSpoolJobVersion).payload);
       if (frame.verb != "JOB") throw Error("spool: not a JOB frame");
       id = static_cast<std::uint64_t>(frame.get_long("id"));
-      if (id == 0) throw Error("spool: bad id");
+      if (id == 0 || live_jobs.count(id) != 0)
+        throw Error("spool: bad or duplicate id");
+      request = parse_submit_request(frame);
     } catch (const Error&) {
       FsckItem& item = scrub.add(FsckFinding::CorruptSpoolEntry, id, path);
       scrub.quarantine(item);
       continue;
     }
+    if (unsettled.count(id) != 0) continue;  // its result may be on disk
     if (valid_results.count(id) != 0 ||
         (journal_state.count(id) != 0 && journal_state[id].terminal)) {
       // The job already finished; a leftover frame re-admitted would
@@ -366,112 +380,108 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
       continue;
     }
     live_jobs.insert(id);
-    if (journal_state.count(id) == 0 || !journal_state[id].admitted) {
+    max_id = std::max(max_id, id);
+    if (journal_known &&
+        (journal_state.count(id) == 0 || !journal_state[id].admitted)) {
       FsckItem& item = scrub.add(FsckFinding::OrphanSpoolEntry, id, path);
       if (repair) {
-        JournalRecord rec;
-        rec.type = JournalRecordType::Admitted;
-        rec.id = id;
-        rec.spec_fnv = ckpt::fnv1a(raw);
-        adoptions.push_back(rec);
+        adoptions.push_back(admitted_record(id, request));
         scrub.did_repair(item, "adopted");
       }
       journal_state[id].admitted = true;
     }
+    if (live != nullptr) live->jobs.push_back({id, std::move(request)});
   }
 
   // --- 4. journal promises with nothing behind them ---------------------
+  // An honest tombstone beats both silence and fabrication; it is written
+  // like any durable result and handed over with the valid ones.
+  const auto write_tombstone = [&](FsckItem& item, JobKind kind,
+                                   const char* error_class,
+                                   std::string detail, int attempts) {
+    DurableResult tomb;
+    tomb.id = item.id;
+    tomb.kind = kind;
+    tomb.outcome = JobOutcome::FailedHonest;
+    tomb.attempts = attempts;
+    tomb.body = failure_body(kind, error_class, detail, attempts);
+    tomb.detail = std::move(detail);
+    std::uint64_t fnv = 0;
+    try {
+      fnv = ckpt::fnv1a(diskfmt::write_framed_file(
+          item.path, kDurableResultMagic, kDurableResultVersion,
+          encode_durable_result(tomb)));
+    } catch (const Error& e) {
+      scrub.failed(item, e.what());
+      unsettled.insert(tomb.id);
+      return;
+    }
+    scrub.did_repair(item, "tombstone");
+    valid_results.insert(tomb.id);
+    adoptions.push_back(terminal_record(tomb, fnv));
+    if (live != nullptr) live->results.push_back({std::move(tomb), fnv});
+  };
   for (auto& [id, state] : journal_state) {
+    if (unsettled.count(id) != 0) continue;
+    // The raw journal byte may name a kind this build does not know.
+    const JobKind kind =
+        state.kind <= static_cast<std::uint8_t>(JobKind::Survive)
+            ? static_cast<JobKind>(state.kind)
+            : JobKind::Run;
+    const std::string path = results_dir + "/" + std::to_string(id) + ".res";
     if (state.terminal && !state.evicted && valid_results.count(id) == 0) {
-      // The terminal bytes are gone (lost write, quarantined above).  An
-      // honest tombstone beats both silence and fabrication.
-      const std::string path =
-          results_dir + "/" + std::to_string(id) + ".res";
+      // The terminal bytes are gone (lost write, quarantined above).
       FsckItem& item = scrub.add(FsckFinding::MissingResult, id, path);
       if (repair) {
-        DurableResult tomb;
-        tomb.id = id;
-        tomb.kind = state.kind <= static_cast<std::uint8_t>(JobKind::Survive)
-                        ? static_cast<JobKind>(state.kind)
-                        : JobKind::Run;
-        tomb.outcome = JobOutcome::FailedHonest;
-        tomb.attempts = static_cast<int>(state.term.attempts);
-        tomb.detail =
-            std::string("durable result lost; journal recorded outcome ") +
-            "\"" +
-            to_string(state.term.outcome <=
-                              static_cast<std::uint8_t>(JobOutcome::Cancelled)
-                          ? static_cast<JobOutcome>(state.term.outcome)
-                          : JobOutcome::None) +
-            "\" but the result file is gone (tombstone written by fsck)";
-        tomb.body = tombstone_body(state.kind, "fsck-result-lost",
-                                   tomb.detail, tomb.attempts);
-        try {
-          diskfmt::write_framed_file(path, kDurableResultMagic,
-                                     kDurableResultVersion,
-                                     encode_durable_result(tomb));
-          scrub.did_repair(item, "tombstone");
-          valid_results.insert(id);
-          JournalRecord rec = state.term;
-          rec.type = JournalRecordType::Terminal;
-          rec.id = id;
-          rec.outcome = static_cast<std::uint8_t>(JobOutcome::FailedHonest);
-          rec.result_fnv = 0;
-          adoptions.push_back(rec);
-        } catch (const Error& e) {
-          scrub.failed(item, e.what());
-        }
+        const JobOutcome outcome =
+            state.term.outcome <=
+                    static_cast<std::uint8_t>(JobOutcome::Cancelled)
+                ? static_cast<JobOutcome>(state.term.outcome)
+                : JobOutcome::None;
+        write_tombstone(
+            item, kind, "fsck-result-lost",
+            std::string("durable result lost; journal recorded outcome \"") +
+                to_string(outcome) +
+                "\" but the result file is gone (tombstone written by fsck)",
+            static_cast<int>(state.term.attempts));
       }
     } else if (state.admitted && !state.terminal &&
                live_jobs.count(id) == 0 && valid_results.count(id) == 0) {
       // Admitted, never finished, and the spool frame is gone (torn write
       // quarantined, or injected unlink ate it): the work is lost and the
       // client deserves to hear that from status(), not a not-found.
-      const std::string path =
-          results_dir + "/" + std::to_string(id) + ".res";
       FsckItem& item = scrub.add(FsckFinding::LostSpoolEntry, id, path);
-      if (repair) {
-        DurableResult tomb;
-        tomb.id = id;
-        tomb.kind = state.kind <= static_cast<std::uint8_t>(JobKind::Survive)
-                        ? static_cast<JobKind>(state.kind)
-                        : JobKind::Run;
-        tomb.outcome = JobOutcome::FailedHonest;
-        tomb.detail =
+      if (repair)
+        write_tombstone(
+            item, kind, "fsck-lost-job",
             "spool entry lost before execution (quarantined or missing); "
-            "failed-honest tombstone written by fsck";
-        tomb.body = tombstone_body(state.kind, "fsck-lost-job", tomb.detail,
-                                   0);
-        try {
-          diskfmt::write_framed_file(path, kDurableResultMagic,
-                                     kDurableResultVersion,
-                                     encode_durable_result(tomb));
-          scrub.did_repair(item, "tombstone");
-          valid_results.insert(id);
-          JournalRecord rec;
-          rec.type = JournalRecordType::Terminal;
-          rec.id = id;
-          rec.kind = state.kind;
-          rec.outcome = static_cast<std::uint8_t>(JobOutcome::FailedHonest);
-          adoptions.push_back(rec);
-        } catch (const Error& e) {
-          scrub.failed(item, e.what());
-        }
-      }
+            "failed-honest tombstone written by fsck",
+            0);
     }
   }
 
   // --- 5. result cache: advisory, so corrupt entries are just removed ---
   for (const std::string& name : scan_dir(cache_dir)) {
-    if (!ends_with(name, ".res") || !is_hex16_res(name)) continue;
+    if (!is_hex16_res(name)) continue;
     const std::string path = cache_dir + "/" + name;
+    std::string raw;
     try {
-      const diskfmt::Unframed entry = diskfmt::read_framed_file(
-          path, kCacheEntryMagic, kCacheEntryVersion);
+      raw = read_file(path);
+    } catch (const IoError& e) {
+      scrub.unreadable(0, path, e.what());
+      continue;
+    }
+    try {
+      const diskfmt::Unframed entry =
+          diskfmt::unframe(raw, kCacheEntryMagic, kCacheEntryVersion);
       ckpt::BinReader r(entry.payload);
-      (void)r.u64();  // cost_ms
-      (void)r.str();  // body
+      const long long cost_ms = static_cast<long long>(r.u64());
+      std::string body = r.str();
       if (!r.at_end()) throw Error("cache entry: trailing bytes");
+      if (live != nullptr)
+        live->cache.push_back(
+            {std::strtoull(name.substr(0, 16).c_str(), nullptr, 16), cost_ms,
+             std::move(body)});
     } catch (const Error&) {
       FsckItem& item = scrub.add(FsckFinding::CorruptCacheEntry, 0, path);
       scrub.remove(item);
@@ -498,16 +508,18 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
       const std::string path = dir + "/" + name;
       struct stat st;
       if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) continue;
+      SpoolImage::File file{path, static_cast<long long>(st.st_size),
+                            static_cast<long long>(st.st_mtime), false};
       if (name.find(".tmp.") != std::string::npos) {
         FsckItem& item = scrub.add(FsckFinding::TempDebris, 0, path);
-        if (!scrub.remove(item)) report.disk_bytes += item.bytes;
-        continue;
-      }
-      report.disk_bytes += static_cast<long long>(st.st_size);
-      if (!attributable(name)) {
+        if (scrub.remove(item)) continue;
+      } else if (!attributable(name)) {
         FsckItem& item = scrub.add(FsckFinding::LedgerDrift, 0, path);
         item.action = "charged";
+        file.drift = true;
       }
+      report.disk_bytes += file.bytes;
+      if (live != nullptr) live->files.push_back(std::move(file));
     }
   };
   classify_dir(jobs_dir, [](const std::string& name) {
@@ -526,6 +538,17 @@ FsckReport fsck_spool(const std::string& spool_dir, bool repair) {
   });
   classify_dir(spool_dir, [](const std::string&) { return false; });
 
+  if (live != nullptr) {
+    // The journal names ids no file does any more: tombstones written above,
+    // results whose write failed, evicted ones.
+    if (!journal_state.empty())
+      max_id = std::max(max_id, journal_state.rbegin()->first);
+    live->max_id = max_id;
+    live->journal_known = journal_known;
+    for (const JournalRecord& rec : replayed.records)
+      if (unsettled.count(rec.id) != 0 && valid_results.count(rec.id) == 0)
+        live->unsettled.push_back(rec);
+  }
   return report;
 }
 

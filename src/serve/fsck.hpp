@@ -5,7 +5,8 @@
 // — and reconciles every disagreement with a typed, counted verdict:
 //
 //   torn-journal-tail    truncated at the last whole record
-//   corrupt-journal      unreadable header: rebuilt empty, then re-adopted
+//   corrupt-journal      foreign magic or version: rebuilt empty, then the
+//                        spool + results are re-adopted (no quarantine)
 //   corrupt-spool-entry  .job fails frame/CRC/parse: quarantined (.corrupt)
 //   orphan-spool-entry   .job the journal never admitted: adopted
 //   stale-spool-entry    .job whose job already has a durable result:
@@ -22,16 +23,29 @@
 //   temp-debris          atomic-write temp leftovers: removed
 //   ledger-drift         bytes no classified artifact explains: charged to
 //                        the recount and flagged
+//   unreadable           journal, result, spool entry or cache entry whose
+//                        read failed (I/O error, not bad bytes): left in
+//                        place and counted as a repair failure; no tombstone
+//                        for its id (its journal records outlive
+//                        compaction), and an unreadable journal gets no
+//                        rebuild, adoption, tombstone or compaction
 //
 // Every repair goes through the iofault seam, so fsck itself is
 // chaos-survivable: an injected ENOSPC/EIO/torn rename turns the item's
 // action into "repair-failed: ..." and the scrub continues — it never
 // throws out of fsck_spool.
+//
+// fsck is the only boot-time reader of the spool: given a SpoolImage it
+// hands over everything it decoded, and Service adopts that instead of
+// reading the files again.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "serve/durable.hpp"
+#include "serve/protocol.hpp"
 
 namespace crusade::serve {
 
@@ -48,8 +62,9 @@ enum class FsckFinding : std::uint8_t {
   CorruptCacheEntry,
   TempDebris,
   LedgerDrift,
+  Unreadable,
 };
-inline constexpr unsigned kFsckFindingCount = 12;
+inline constexpr unsigned kFsckFindingCount = 13;
 const char* to_string(FsckFinding finding);
 
 struct FsckItem {
@@ -78,9 +93,50 @@ struct FsckReport {
   std::string to_json() const;
 };
 
+/// What a scrub read and found valid, after its repairs.
+struct SpoolImage {
+  struct Result {
+    DurableResult result;   ///< valid durable result (tombstones included)
+    std::uint64_t fnv = 0;  ///< fnv1a of the framed file
+  };
+  struct Job {
+    std::uint64_t id = 0;
+    SubmitRequest request;  ///< the spooled job (not stale, not corrupt)
+  };
+  struct CacheEntry {
+    std::uint64_t key = 0;
+    long long cost_ms = 0;
+    std::string body;
+  };
+  struct File {
+    std::string path;
+    long long bytes = 0;
+    long long mtime = 0;  ///< seconds since the epoch
+    bool drift = false;   ///< no artifact pattern explains it
+  };
+  std::vector<Result> results;
+  std::vector<Job> jobs;
+  std::vector<CacheEntry> cache;
+  /// Every regular file left under the spool after the repairs.
+  std::vector<File> files;
+  /// Highest job id any result file, spool file or journal record names
+  /// (unreadable files and tombstones included), so a booting service never
+  /// reissues an id the spool still knows.
+  std::uint64_t max_id = 0;
+  /// False when the journal could not be read: it then vouches for nothing
+  /// and must not be compacted.
+  bool journal_known = false;
+  /// Journal records of ids the scrub could not settle (an unreadable file,
+  /// a tombstone that could not be written): compaction carries them over
+  /// so a later scrub can still keep the journal's promise.
+  std::vector<JournalRecord> unsettled;
+};
+
 /// Scrubs `spool_dir` (created if missing).  repair=false classifies only —
-/// every item's action is "detected" and nothing on disk changes.  Never
+/// every item's action is "detected" and nothing on disk changes.  When
+/// `live` is given it receives what the scrub read (see SpoolImage).  Never
 /// throws; an unusable spool directory yields a report whose items say so.
-FsckReport fsck_spool(const std::string& spool_dir, bool repair);
+FsckReport fsck_spool(const std::string& spool_dir, bool repair,
+                      SpoolImage* live = nullptr);
 
 }  // namespace crusade::serve

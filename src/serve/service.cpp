@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <dirent.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -73,26 +72,6 @@ void make_dirs(const std::string& path) {
   }
 }
 
-std::vector<std::string> list_dir(const std::string& path) {
-  std::vector<std::string> names;
-  DIR* dir = ::opendir(path.c_str());
-  if (dir == nullptr) throw_io_error("serve: opendir " + path, errno);
-  while (dirent* entry = ::readdir(dir)) {
-    const std::string name = entry->d_name;
-    if (name != "." && name != "..") names.push_back(name);
-  }
-  ::closedir(dir);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-void remove_if_exists(const std::string& path) {
-  if (iofault::xunlink(path.c_str()) != 0 && errno != ENOENT) {
-    // Best-effort cleanup; a stale spool file is re-scanned (and skipped as
-    // already-terminal or re-run idempotently) on the next start.
-  }
-}
-
 /// iofault observer -> obs bridge: every injected environment fault shows
 /// up as a chaos.* counter next to the serve.* metrics it perturbs.
 void chaos_obs_bridge(const char* counter_name) { obs::count(counter_name); }
@@ -101,18 +80,6 @@ std::string hex16(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
-}
-
-std::string failure_body(JobKind kind, const char* klass,
-                         const std::string& message, int attempts) {
-  tools::JsonWriter w;
-  w.begin_object()
-      .key("kind").value(to_string(kind))
-      .key("error").value(message)
-      .key("error_class").value(klass)
-      .key("attempts").value(attempts)
-      .end_object();
-  return w.str();
 }
 
 }  // namespace
@@ -308,8 +275,11 @@ Service::Service(ServiceConfig config) : cfg_(std::move(config)) {
   // Boot-time fsck before anything trusts the spool: replay the journal
   // against the world, truncate torn tails, quarantine corruption, adopt
   // orphans, tombstone lost work.  Runs under the chaos plan armed above —
-  // fsck surviving injected faults is part of its contract.
-  const FsckReport scrub = fsck_spool(cfg_.spool_dir, /*repair=*/true);
+  // fsck surviving injected faults is part of its contract.  It is also the
+  // only reader: the service adopts what it read (adopt_spool_locked).
+  SpoolImage image;
+  const FsckReport scrub =
+      fsck_spool(cfg_.spool_dir, /*repair=*/true, &image);
   stats_.fsck_findings = static_cast<std::int64_t>(scrub.items.size());
   stats_.fsck_repairs = scrub.repairs;
   stats_.spool_quarantined += scrub.quarantines;
@@ -319,8 +289,8 @@ Service::Service(ServiceConfig config) : cfg_(std::move(config)) {
   if (scrub.repairs > 0) obs::count("serve.fsck_repairs", scrub.repairs);
   // A stale frame fsck removed IS a reconciliation: the job's terminal
   // answer already survives on disk and re-running it would duplicate
-  // execution.  Count it with recover_spool's own reconciliations so
-  // "recovered + reconciled == frames on disk at boot" holds.
+  // execution.  Counted so "recovered + reconciled == frames on disk at
+  // boot" holds.
   const int stale = scrub.count(FsckFinding::StaleSpoolEntry);
   if (stale > 0) {
     stats_.spool_reconciled += stale;
@@ -330,7 +300,7 @@ Service::Service(ServiceConfig config) : cfg_(std::move(config)) {
     obs::count("serve.spool_quarantined", scrub.quarantines);
   if (scrub.repair_failures > 0)
     obs::count("serve.fsck_repair_failures", scrub.repair_failures);
-  recover_spool();
+  adopt_spool_locked(image);
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -517,14 +487,7 @@ SubmitOutcome Service::submit(const SubmitRequest& request) {
     // Journal the admission after the spool write: replay treats the spool
     // frame as the truth and fsck adopts any frame the journal missed, so
     // the failure window (spooled, then crashed before this append) heals.
-    {
-      JournalRecord rec;
-      rec.type = JournalRecordType::Admitted;
-      rec.id = id;
-      rec.kind = static_cast<std::uint8_t>(request.kind);
-      rec.spec_fnv = ckpt::fnv1a(request.spec_text);
-      journal_append_locked(rec);
-    }
+    journal_append_locked(admitted_record(id, request));
     if (idem != 0) idem_to_job_[idem] = id;
     queue_.insert({-static_cast<long long>(request.priority), id});
     stats_.queue_depth = static_cast<int>(queue_.size());
@@ -1482,20 +1445,19 @@ void Service::track_file_locked(const std::string& path, long long bytes) {
 }
 
 void Service::remove_spool_file(const std::string& path) {
-  {
-    util::MutexLock lk(mu_);
-    const auto it = disk_files_.find(path);
-    if (it != disk_files_.end()) {
-      disk_used_ -= it->second;
-      disk_files_.erase(it);
-      stats_.disk_used_bytes = disk_used_;
-    }
-  }
-  if (iofault::xunlink(path.c_str()) != 0 && errno != ENOENT) {
-    // The bytes stay on disk but leave the ledger — temporary accounting
-    // drift that the recovery rescan corrects on the next start.
-    obs::count("serve.spool_unlink_failures");
-  }
+  util::MutexLock lk(mu_);
+  if (!discard_locked(path)) obs::count("serve.spool_unlink_failures");
+}
+
+bool Service::discard_locked(const std::string& path) {
+  // A file that will not go stays charged: the bytes are still on disk.
+  if (iofault::xunlink(path.c_str()) != 0 && errno != ENOENT) return false;
+  const auto it = disk_files_.find(path);
+  if (it == disk_files_.end()) return true;
+  disk_used_ -= it->second;
+  disk_files_.erase(it);
+  stats_.disk_used_bytes = disk_used_;
+  return true;
 }
 
 bool Service::evict_cache_for_space_locked(long long need) {
@@ -1507,98 +1469,60 @@ bool Service::evict_cache_for_space_locked(long long need) {
     cache_.erase(victim);
     ++stats_.cache_evictions;
     obs::count("serve.cache_evictions");
-    // Untrack + unlink inline (under mu_, like spool_job): the admission
-    // decision that triggered this needs the bytes actually reclaimed.
-    const std::string path = cache_path(victim);
-    const auto it = disk_files_.find(path);
-    if (it != disk_files_.end()) {
-      disk_used_ -= it->second;
-      disk_files_.erase(it);
-    }
-    (void)iofault::xunlink(path.c_str());
+    // Unlink inline (under mu_, like spool_job): the admission decision
+    // that triggered this needs the bytes actually reclaimed.
+    (void)discard_locked(cache_path(victim));
   }
-  stats_.disk_used_bytes = disk_used_;
   return disk_used_ + need <= cfg_.disk_budget_bytes;
 }
 
-void Service::recover_spool() {
-  // Cache first: framed CCHE entries carry the recompute cost and the body
-  // together — no sidecar to tear apart from its entry, and a torn write
-  // fails the CRC instead of recovering a half-truth.  The cache is
-  // advisory, so anything unreadable is simply removed.
-  for (const std::string& name : list_dir(cfg_.spool_dir + "/cache")) {
-    if (name.size() != 20 || name.substr(16) != ".res") continue;
-    const std::string path = cfg_.spool_dir + "/cache/" + name;
-    const std::uint64_t key =
-        std::strtoull(name.substr(0, 16).c_str(), nullptr, 16);
-    if (key == 0) continue;
+void Service::adopt_spool_locked(SpoolImage& image) {
+  // The ledger starts from the scrub's inventory: actual bytes on disk,
+  // with anything unattributable surfaced as drift.  Files boot policy
+  // removes below leave it again through discard_locked.
+  long long drift = 0;
+  for (const SpoolImage::File& file : image.files) {
+    track_file_locked(file.path, file.bytes);
+    if (file.drift) drift += file.bytes;
+  }
+  stats_.ledger_drift_bytes = drift;
+  if (drift > 0) obs::count("disk.ledger_drift", drift);
+
+  // Cache: entries past the capacity bound are dropped, files included.
+  for (SpoolImage::CacheEntry& entry : image.cache) {
     if (cache_.size() >= cfg_.cache_capacity) {
-      remove_if_exists(path);
+      (void)discard_locked(cache_path(entry.key));
       continue;
     }
-    try {
-      const diskfmt::Unframed entry =
-          diskfmt::read_framed_file(path, kCacheEntryMagic,
-                                    kCacheEntryVersion);
-      ckpt::BinReader r(entry.payload);
-      const long long cost_ms = static_cast<long long>(r.u64());
-      std::string body = r.str();
-      if (!r.at_end()) throw Error("cache entry: trailing bytes");
-      cache_[key] = CacheEntry{std::move(body), cost_ms};
-      cache_by_cost_.insert({cost_ms, key});
-    } catch (const Error&) {
-      remove_if_exists(path);
-    }
+    cache_by_cost_.insert({entry.cost_ms, entry.key});
+    cache_[entry.key] = CacheEntry{std::move(entry.body), entry.cost_ms};
   }
 
-  // Durable results: reload terminal jobs so status/result answer across
-  // the restart — bit-identical bytes, zero re-execution.  fsck already
-  // swept corruption, but the chaos plan can strike this re-read too:
-  // anything unreadable now is quarantined as evidence, exactly like a
-  // corrupt job frame.
-  std::uint64_t max_id = 0;
-  std::vector<DurableResult> loaded;
-  std::unordered_map<std::uint64_t, std::uint64_t> result_fnv;
-  for (const std::string& name : list_dir(cfg_.spool_dir + "/results")) {
-    if (name.size() < 5 || name.substr(name.size() - 4) != ".res") continue;
-    const std::string path = cfg_.spool_dir + "/results/" + name;
-    try {
-      const std::string raw = read_file(path);
-      DurableResult r = decode_durable_result(
-          diskfmt::unframe(raw, kDurableResultMagic, kDurableResultVersion)
-              .payload);
-      if (r.id == 0 || jobs_.count(r.id) != 0)
-        throw Error("results: bad or duplicate id");
-      result_fnv[r.id] = ckpt::fnv1a(raw);
-      loaded.push_back(std::move(r));
-    } catch (const Error&) {
-      if (iofault::xrename(path.c_str(), (path + ".corrupt").c_str()) == 0) {
-        ++stats_.spool_quarantined;
-        obs::count("serve.spool_quarantined");
-      } else {
-        obs::count("serve.quarantine_rename_failures");
-      }
-    }
-  }
-  std::sort(loaded.begin(), loaded.end(),
-            [](const DurableResult& a, const DurableResult& b) {
-              return a.finish_seq != b.finish_seq
-                         ? a.finish_seq < b.finish_seq
-                         : a.id < b.id;
+  // Durable results: terminal jobs answer status/result across the restart
+  // — bit-identical bytes, zero re-execution.  Retention crosses the
+  // restart: only the newest terminal_retain stay queryable, the rest are
+  // evicted as at runtime once the journal is open below.
+  std::sort(image.results.begin(), image.results.end(),
+            [](const SpoolImage::Result& a, const SpoolImage::Result& b) {
+              return a.result.finish_seq != b.result.finish_seq
+                         ? a.result.finish_seq < b.result.finish_seq
+                         : a.result.id < b.result.id;
             });
-  // Retention crosses the restart: only the newest terminal_retain results
-  // stay queryable, the rest leave now (files included).
-  if (loaded.size() > cfg_.terminal_retain) {
-    const std::size_t drop = loaded.size() - cfg_.terminal_retain;
-    for (std::size_t i = 0; i < drop; ++i) {
-      remove_if_exists(durable_result_path(loaded[i].id));
-      result_fnv.erase(loaded[i].id);
-      obs::count("serve.terminal_evicted");
+  const std::size_t drop =
+      image.results.size() > cfg_.terminal_retain
+          ? image.results.size() - cfg_.terminal_retain
+          : 0;
+  std::vector<std::uint64_t> evicted;
+  // The journal's live set: one Terminal per retained result, one Admitted
+  // per queued job.
+  std::vector<JournalRecord> live;
+  for (std::size_t i = 0; i < image.results.size(); ++i) {
+    DurableResult& r = image.results[i].result;
+    if (i < drop) {
+      evicted.push_back(r.id);
+      continue;
     }
-    loaded.erase(loaded.begin(),
-                 loaded.begin() + static_cast<std::ptrdiff_t>(drop));
-  }
-  for (DurableResult& r : loaded) {
+    live.push_back(terminal_record(r, image.results[i].fnv));
     Job& job = jobs_[r.id];
     job.id = r.id;
     job.req.kind = r.kind;
@@ -1615,130 +1539,80 @@ void Service::recover_spool() {
     job.history = std::move(r.history);
     terminal_order_.push_back(r.id);
     if (r.finish_seq > finish_seq_) finish_seq_ = r.finish_seq;
-    if (r.id > max_id) max_id = r.id;
     ++stats_.results_recovered;
     obs::count("serve.results_recovered");
   }
 
-  // Jobs: every *.job file is a framed CJOB wrapping the original SUBMIT
-  // wire frame plus the assigned id.  A frame whose job already has a
-  // durable terminal result is RECONCILED — removed, never re-admitted:
-  // it is the leftover of the crash window between the terminal persist
-  // and the spool cleanup, and re-running it would duplicate execution.
-  // Everything else is re-admitted; corrupt entries are renamed aside,
-  // never silently deleted and never allowed to block the rest.
-  for (const std::string& name : list_dir(cfg_.spool_dir + "/jobs")) {
-    if (name.size() < 5 || name.substr(name.size() - 4) != ".job") continue;
-    const std::string path = cfg_.spool_dir + "/jobs/" + name;
+  // Jobs: every live frame fsck handed over is re-admitted (stale frames
+  // were already reconciled away, corrupt ones quarantined).
+  for (SpoolImage::Job& spooled : image.jobs) {
+    const std::uint64_t id = spooled.id;
+    Job& job = jobs_[id];
+    job.id = id;
+    job.req = std::move(spooled.request);
+    job.recovered = true;
+    job.submitted_at = Clock::now();  // the deadline budget restarts
     try {
-      const Request frame = decode_frame(
-          diskfmt::unframe(read_file(path), kSpoolJobMagic, kSpoolJobVersion)
-              .payload);
-      if (frame.verb != "JOB") throw Error("spool: not a JOB frame");
-      const std::uint64_t id =
-          static_cast<std::uint64_t>(frame.get_long("id"));
-      if (id == 0) throw Error("spool: bad id");
-      if (jobs_.count(id) != 0) {
-        if (jobs_[id].state != JobState::Done)
-          throw Error("spool: duplicate id");
-        remove_if_exists(path);
-        remove_if_exists(ckpt_spool_path(id));
-        remove_if_exists(result_spool_path(id));
-        ++stats_.spool_reconciled;
-        obs::count("serve.spool_reconciled");
-        continue;
-      }
-      Job& job = jobs_[id];
-      job.id = id;
-      job.req = parse_submit_request(frame);
-      job.recovered = true;
-      job.submitted_at = Clock::now();  // the deadline budget restarts
-      try {
-        job.cache_key = compute_cache_key(job.req);
-      } catch (const Error&) {
-        job.cache_key = 0;  // ran before, so run again; just never cache it
-      }
-      // Re-register the idempotency mapping: a client resubmitting across
-      // the daemon restart still attaches to its recovered job.
-      job.idem_key = compute_idem_key(job.req, job.cache_key);
-      if (job.idem_key != 0) idem_to_job_[job.idem_key] = id;
-      queue_.insert({-static_cast<long long>(job.req.priority), id});
-      if (id > max_id) max_id = id;
-      ++recovered_;
-      ++stats_.recovered;
-      obs::count("serve.recovered");
+      job.cache_key = compute_cache_key(job.req);
     } catch (const Error&) {
-      // Quarantine, never delete: the corrupt bytes are the evidence.  A
-      // failed rename (injected EIO) leaves the file for the next start to
-      // retry — recovery of the remaining entries continues either way.
-      if (iofault::xrename(path.c_str(), (path + ".corrupt").c_str()) == 0) {
-        ++stats_.spool_quarantined;
-        obs::count("serve.spool_quarantined");
-      } else {
-        obs::count("serve.quarantine_rename_failures");
-      }
+      job.cache_key = 0;  // ran before, so run again; just never cache it
     }
+    // Re-register the idempotency mapping: a client resubmitting across
+    // the daemon restart still attaches to its recovered job.
+    job.idem_key = compute_idem_key(job.req, job.cache_key);
+    if (job.idem_key != 0) idem_to_job_[job.idem_key] = id;
+    queue_.insert({-static_cast<long long>(job.req.priority), id});
+    live.push_back(admitted_record(id, job.req));
+    ++recovered_;
+    ++stats_.recovered;
+    obs::count("serve.recovered");
   }
-  if (max_id >= next_id_) next_id_ = max_id + 1;
+  if (image.max_id >= next_id_) next_id_ = image.max_id + 1;
   stats_.queue_depth = static_cast<int>(queue_.size());
   if (stats_.queue_depth > stats_.queue_peak)
     stats_.queue_peak = stats_.queue_depth;
 
   // Quarantine retention: .corrupt evidence is bounded, oldest evicted
-  // first past the cap.  The survivors stay charged to the ledger below.
+  // first past the cap.  The survivors stay charged to the ledger.
   std::vector<std::pair<long long, std::string>> corpses;
-  for (const char* sub : {"/jobs", "/cache", "/results"}) {
-    for (const std::string& name : list_dir(cfg_.spool_dir + sub)) {
-      if (name.size() < 8 || name.substr(name.size() - 8) != ".corrupt")
-        continue;
-      const std::string path = cfg_.spool_dir + sub + "/" + name;
-      struct stat st;
-      if (::stat(path.c_str(), &st) == 0)
-        corpses.emplace_back(static_cast<long long>(st.st_mtime), path);
-    }
+  for (const SpoolImage::File& file : image.files) {
+    const std::string& path = file.path;
+    if (path.size() > 8 && path.compare(path.size() - 8, 8, ".corrupt") == 0)
+      corpses.emplace_back(file.mtime, path);
   }
   if (corpses.size() > cfg_.quarantine_retain) {
     std::sort(corpses.begin(), corpses.end());
-    const std::size_t drop = corpses.size() - cfg_.quarantine_retain;
-    for (std::size_t i = 0; i < drop; ++i) {
-      if (iofault::xunlink(corpses[i].second.c_str()) == 0 ||
-          errno == ENOENT) {
+    const std::size_t excess = corpses.size() - cfg_.quarantine_retain;
+    for (std::size_t i = 0; i < excess; ++i) {
+      if (discard_locked(corpses[i].second)) {
         ++stats_.quarantine_evicted;
         obs::count("serve.quarantine_evicted");
       }
     }
   }
 
-  // Compact the journal to the live set — one Admitted per queued job, one
-  // Terminal per retained result — then open it for this incarnation's
-  // appends.  A failed rewrite keeps the old (already fsck-repaired)
-  // journal; a failed open runs this incarnation journal-less, counted.
-  std::vector<JournalRecord> live;
-  for (const auto& [id, job] : jobs_) {
-    JournalRecord rec;
-    rec.id = id;
-    rec.kind = static_cast<std::uint8_t>(job.req.kind);
-    if (job.state == JobState::Done) {
-      rec.type = JournalRecordType::Terminal;
-      rec.outcome = static_cast<std::uint8_t>(job.outcome);
-      rec.attempts =
-          static_cast<std::uint32_t>(job.attempts < 0 ? 0 : job.attempts);
-      const auto fnv = result_fnv.find(id);
-      rec.result_fnv = fnv != result_fnv.end() ? fnv->second : 0;
-    } else {
-      rec.type = JournalRecordType::Admitted;
-      rec.spec_fnv = ckpt::fnv1a(job.req.spec_text);
-    }
-    live.push_back(rec);
-  }
-  if (!Journal::rewrite(journal_path(), live))
+  // Compact the journal to the live set, then open it for this
+  // incarnation's appends.  The records of ids the scrub could not settle
+  // are carried over: a file it could not read may be a promise only the
+  // journal still records.  A journal it could not read is left alone.  A
+  // failed rewrite keeps the old (already fsck-repaired) journal; a failed
+  // open runs this incarnation journal-less, counted.
+  live.insert(live.end(), image.unsettled.begin(), image.unsettled.end());
+  if (image.journal_known && !Journal::rewrite(journal_path(), live))
     obs::count("serve.journal_compact_failures");
   if (!journal_->open(journal_path()))
     obs::count("serve.journal_open_failures");
-
-  // The ledger recount is the last word: actual bytes on disk, with
-  // anything unattributable surfaced as drift.
-  recount_disk_locked();
+  struct stat st;
+  if (::stat(journal_path().c_str(), &st) == 0)
+    track_file_locked(journal_path(), static_cast<long long>(st.st_size));
+  for (const std::uint64_t id : evicted) {
+    JournalRecord rec;
+    rec.type = JournalRecordType::ResultEvicted;
+    rec.id = id;
+    journal_append_locked(rec);
+    (void)discard_locked(durable_result_path(id));
+    obs::count("serve.terminal_evicted");
+  }
 }
 
 void Service::spool_job(const Job& job) {
@@ -1785,10 +1659,8 @@ void Service::persist_terminal_locked(Job& job) {
   // writes the tombstone story from the journal's Terminal record.
   if (evict_cache_for_space_locked(diskfmt::framed_size(payload.size()))) {
     try {
-      const std::string framed =
-          diskfmt::frame(kDurableResultMagic, kDurableResultVersion, payload);
-      diskfmt::write_framed_file(path, kDurableResultMagic,
-                                 kDurableResultVersion, payload);
+      const std::string framed = diskfmt::write_framed_file(
+          path, kDurableResultMagic, kDurableResultVersion, payload);
       track_file_locked(path, static_cast<long long>(framed.size()));
       fnv = ckpt::fnv1a(framed);
       ++stats_.results_persisted;
@@ -1801,52 +1673,7 @@ void Service::persist_terminal_locked(Job& job) {
     ++stats_.result_persist_failures;
     obs::count("serve.result_persist_failures");
   }
-  JournalRecord rec;
-  rec.type = JournalRecordType::Terminal;
-  rec.id = job.id;
-  rec.kind = static_cast<std::uint8_t>(job.req.kind);
-  rec.outcome = static_cast<std::uint8_t>(job.outcome);
-  rec.attempts =
-      static_cast<std::uint32_t>(job.attempts < 0 ? 0 : job.attempts);
-  rec.result_fnv = fnv;
-  journal_append_locked(rec);
-}
-
-void Service::recount_disk_locked() {
-  disk_files_.clear();
-  disk_used_ = 0;
-  long long drift = 0;
-  const auto digits_id = [](const std::string& name) {
-    return !name.empty() && name[0] >= '0' && name[0] <= '9';
-  };
-  const auto hex_res = [](const std::string& name) {
-    std::string stem = name;
-    if (stem.size() > 8 && stem.substr(stem.size() - 8) == ".corrupt")
-      stem = stem.substr(0, stem.size() - 8);
-    if (stem.size() != 20 || stem.substr(16) != ".res") return false;
-    for (std::size_t i = 0; i < 16; ++i) {
-      const char c = stem[i];
-      if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-    }
-    return true;
-  };
-  const struct { const char* sub; int shape; } dirs[] = {
-      {"/jobs", 0}, {"/results", 0}, {"/cache", 1}, {"/journal", 2}};
-  for (const auto& d : dirs) {
-    const std::string dir = cfg_.spool_dir + d.sub;
-    for (const std::string& name : list_dir(dir)) {
-      const std::string path = dir + "/" + name;
-      struct stat st;
-      if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) continue;
-      track_file_locked(path, static_cast<long long>(st.st_size));
-      const bool known = d.shape == 0   ? digits_id(name)
-                         : d.shape == 1 ? hex_res(name)
-                                        : name == "wal";
-      if (!known) drift += static_cast<long long>(st.st_size);
-    }
-  }
-  stats_.ledger_drift_bytes = drift;
-  if (drift > 0) obs::count("disk.ledger_drift", drift);
+  journal_append_locked(terminal_record(r, fnv));
 }
 
 std::string Service::job_spool_path(std::uint64_t id) const {

@@ -244,8 +244,8 @@ struct ServiceStats {
   std::int64_t spool_reconciled = 0;
   /// Quarantined evidence files evicted oldest-first past quarantine_retain.
   std::int64_t quarantine_evicted = 0;
-  /// Bytes the startup recount could not attribute to any known artifact —
-  /// the disk.ledger_drift correction.
+  /// Bytes the boot scrub's inventory could not attribute to any known
+  /// artifact — the disk.ledger_drift correction.
   long long ledger_drift_bytes = 0;
   /// Current bytes of spool + cache + telemetry the ledger tracks.
   long long disk_used_bytes = 0;
@@ -266,6 +266,7 @@ struct ServiceStats {
 
 class Journal;
 struct JournalRecord;
+struct SpoolImage;
 
 class Service {
  public:
@@ -358,18 +359,26 @@ class Service {
   void cache_insert(std::uint64_t key, const std::string& body, long cost_ms)
       CRUSADE_EXCLUDES(mu_);
   /// Disk-budget ledger.  track_file stats `path` and records its size
-  /// (replacing any previous record for the same path); remove_spool_file
-  /// untracks and unlinks.  The ledger is rebuilt by scanning the spool at
-  /// recovery, so unlink failures only cost temporary accounting drift.
+  /// (replacing any previous record for the same path); discard_locked
+  /// unlinks and untracks only once the file is gone (true then), and
+  /// remove_spool_file is the same under its own lock, counting failures.
+  /// The ledger is reseeded from the boot scrub's inventory.
   void track_file(const std::string& path) CRUSADE_EXCLUDES(mu_);
   void track_file_locked(const std::string& path, long long bytes)
       CRUSADE_REQUIRES(mu_);
   void remove_spool_file(const std::string& path) CRUSADE_EXCLUDES(mu_);
+  bool discard_locked(const std::string& path) CRUSADE_REQUIRES(mu_);
   /// Evicts cheapest-to-recompute cache entries until `need` more bytes fit
   /// under the disk budget (or the cache is empty).  Returns true when the
   /// budget can now admit `need` bytes.
   bool evict_cache_for_space_locked(long long need) CRUSADE_REQUIRES(mu_);
-  void recover_spool() CRUSADE_REQUIRES(mu_);
+  /// Boot: takes over what the fsck scrub read (moving bodies out of
+  /// `image`) and applies the service's own policy — cache capacity,
+  /// terminal retention, re-admission, quarantine retention, the disk
+  /// ledger — then compacts the journal (the scrub's unsettled records
+  /// carried over; never a journal it could not read) and opens it for
+  /// appends.
+  void adopt_spool_locked(SpoolImage& image) CRUSADE_REQUIRES(mu_);
   void spool_job(const Job& job) CRUSADE_REQUIRES(mu_);
   /// Appends one record to the write-ahead journal, tracking the journal's
   /// growth in the disk ledger.  A failed append (torn tail, disk full,
@@ -382,9 +391,6 @@ class Service {
   /// publishes the in-memory state.  Persist failures are counted and the
   /// in-memory answer still serves this incarnation.
   void persist_terminal_locked(Job& job) CRUSADE_REQUIRES(mu_);
-  /// Rebuilds the disk ledger from the actual bytes on disk; unattributable
-  /// bytes surface as stats_.ledger_drift_bytes + disk.ledger_drift.
-  void recount_disk_locked() CRUSADE_REQUIRES(mu_);
   std::string job_spool_path(std::uint64_t id) const;
   std::string ckpt_spool_path(std::uint64_t id) const;
   std::string result_spool_path(std::uint64_t id) const;

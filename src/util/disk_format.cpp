@@ -95,9 +95,12 @@ Unframed unframe(const std::string& bytes, const char* magic,
   return out;
 }
 
-void write_framed_file(const std::string& path, const char* magic,
-                       std::uint32_t version, const std::string& payload) {
-  atomic_write_file(path, frame(magic, version, payload));
+std::string write_framed_file(const std::string& path, const char* magic,
+                              std::uint32_t version,
+                              const std::string& payload) {
+  std::string framed = frame(magic, version, payload);
+  atomic_write_file(path, framed);
+  return framed;
 }
 
 Unframed read_framed_file(const std::string& path, const char* magic,

@@ -48,11 +48,13 @@ Unframed unframe(const std::string& bytes, const char* magic,
                  std::uint32_t max_version);
 
 /// Frames `payload` and writes it to `path` via atomic_write_file (temp +
-/// fsync + rename + directory fsync).  Throws IoError / DiskFullError like
-/// atomic_write_file.  This is the single sanctioned on-disk writer for
-/// src/serve + src/ckpt (crusade-check C009).
-void write_framed_file(const std::string& path, const char* magic,
-                       std::uint32_t version, const std::string& payload);
+/// fsync + rename + directory fsync); returns the framed bytes written.
+/// Throws IoError / DiskFullError like atomic_write_file.  This is the
+/// single sanctioned on-disk writer for src/serve + src/ckpt (crusade-check
+/// C009).
+std::string write_framed_file(const std::string& path, const char* magic,
+                              std::uint32_t version,
+                              const std::string& payload);
 
 /// read_file + unframe.  Throws Error (IoError on read failures, the
 /// unframe diagnoses on corruption).

@@ -10,7 +10,7 @@
 // writer splices them in verbatim with `raw()`.
 //
 // Lives in src/util so library code (src/serve) can emit the same envelopes
-// the CLI does; tools/json_writer.hpp forwards here for existing includes.
+// the CLI does.
 #pragma once
 
 #include <cstdio>

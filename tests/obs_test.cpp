@@ -21,12 +21,12 @@
 #include "core/crusade.hpp"
 #include "example_specs.hpp"
 #include "ft/crusade_ft.hpp"
-#include "json_writer.hpp"
 #include "obs/flight.hpp"
 #include "obs/histogram.hpp"
 #include "obs/obs.hpp"
 #include "obs/runstats.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json_writer.hpp"
 
 namespace crusade {
 namespace {

@@ -1194,6 +1194,166 @@ TEST(ServeDurabilityTest, RestartStormZeroLossZeroDuplicates) {
   service.stop(true);
 }
 
+TEST(ServeDurabilityTest, BootUnderReadFaultsLosesNothing) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_boot_eio");
+  const ServiceConfig cfg = fast_config(spool.path);
+  std::map<std::uint64_t, std::string> views;
+  std::map<std::uint64_t, std::string> bodies;
+  {
+    Service service(cfg);
+    for (int i = 0; i < 16; ++i) {
+      const SubmitOutcome out = service.submit(make_request(
+          quickstart_text() + "\n# boot " + std::to_string(i) + "\n",
+          JobKind::Lint));
+      ASSERT_TRUE(out.admitted);
+      views[out.id];
+    }
+    for (auto& [id, view] : views) {
+      view = to_json(wait_terminal(service, id));
+      bodies[id] = service.result_body(id).value_or("");
+    }
+    service.stop(true);
+  }
+  // A transient read error while booting must cost at most the answers of
+  // that one incarnation: the next calm boot serves every id again,
+  // bit-identical.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    iofault::Plan plan;
+    plan.seed = seed;
+    plan.rate = 0.05;
+    plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::Eio);
+    iofault::arm(plan);
+    {
+      Service stormy(cfg);
+      iofault::disarm();
+      stormy.stop(true);
+    }
+    Service calm(cfg);
+    for (const auto& [id, view] : views) {
+      const std::optional<JobStatus> status = calm.status(id);
+      ASSERT_TRUE(status.has_value()) << "seed " << seed << " lost job " << id;
+      EXPECT_EQ(to_json(*status), view) << "seed " << seed << " job " << id;
+      EXPECT_EQ(calm.result_body(id).value_or(""), bodies[id])
+          << "seed " << seed << " job " << id;
+    }
+    calm.stop(true);
+  }
+}
+
+TEST(ServeDurabilityTest, IncompleteScrubKeepsJournalPromises) {
+  TempSpool spool("serve_test_boot_promises");
+  ServiceConfig cfg = fast_config(spool.path);
+  std::vector<std::uint64_t> ids;
+  {
+    Service service(cfg);
+    for (int i = 0; i < 4; ++i) {
+      const SubmitOutcome out = service.submit(make_request(
+          quickstart_text() + "\n# promise " + std::to_string(i) + "\n",
+          JobKind::Lint));
+      ASSERT_TRUE(out.admitted);
+      ids.push_back(out.id);
+      wait_terminal(service, out.id);
+    }
+    service.stop(true);
+  }
+  // The newest result's bytes are lost, and a directory no read can get
+  // through sits at its name; so does one at an (advisory) cache entry's
+  // name: every scrub is incomplete while they stay.  Those boots must
+  // still compact the journal, yet keep its Terminal record for the
+  // unreadable id, and the retention eviction of the oldest result must be
+  // journaled like a runtime one.
+  const std::string lost =
+      spool.path + "/results/" + std::to_string(ids[3]) + ".res";
+  const std::string cache_dir = spool.path + "/cache/00000000000000aa.res";
+  ASSERT_EQ(::unlink(lost.c_str()), 0);
+  ASSERT_EQ(::mkdir(lost.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir(cache_dir.c_str(), 0755), 0);
+  for (int boot = 0; boot < 2; ++boot) {
+    ServiceConfig tight = cfg;
+    tight.terminal_retain = 2;
+    Service service(tight);
+    EXPECT_FALSE(service.status(ids[0]).has_value());
+    EXPECT_TRUE(service.status(ids[2]).has_value());
+    service.stop(true);
+    int stray_attempts = 0;
+    bool promise_kept = false;
+    for (const JournalRecord& rec :
+         Journal::replay(spool.path + "/journal/wal").records) {
+      if (rec.type == JournalRecordType::AttemptStarted && rec.id != ids[3])
+        ++stray_attempts;
+      if (rec.type == JournalRecordType::Terminal && rec.id == ids[3])
+        promise_kept = true;
+    }
+    EXPECT_EQ(stray_attempts, 0) << "boot " << boot << " did not compact";
+    EXPECT_TRUE(promise_kept) << "boot " << boot << " compacted the promise";
+  }
+  ASSERT_EQ(::rmdir(lost.c_str()), 0);
+  ASSERT_EQ(::rmdir(cache_dir.c_str()), 0);
+  Service service(cfg);
+  EXPECT_FALSE(service.status(ids[0]).has_value())
+      << "an evicted result came back as a tombstone";
+  const std::optional<JobStatus> promised = service.status(ids[3]);
+  ASSERT_TRUE(promised.has_value()) << "the journal's promise was compacted";
+  EXPECT_EQ(promised->outcome, JobOutcome::FailedHonest);
+  service.stop(true);
+}
+
+TEST(ServeDurabilityTest, TombstonedIdsAreNeverReissued) {
+  TempSpool spool("serve_test_tomb_ids");
+  const ServiceConfig cfg = fast_config(spool.path);
+  const auto lint = [](int i) {
+    return make_request(
+        quickstart_text() + "\n# tomb " + std::to_string(i) + "\n",
+        JobKind::Lint);
+  };
+  std::uint64_t lost_result = 0;
+  std::uint64_t lost_job = 0;
+  {
+    Service service(cfg);
+    for (int i = 0; i < 2; ++i) {
+      const SubmitOutcome out = service.submit(lint(i));
+      ASSERT_TRUE(out.admitted);
+      lost_result = out.id;
+      wait_terminal(service, out.id);
+    }
+    service.stop(true);
+  }
+  {
+    ServiceConfig paused = cfg;
+    paused.start_paused = true;
+    Service service(paused);
+    const SubmitOutcome out = service.submit(lint(2));
+    ASSERT_TRUE(out.admitted);
+    lost_job = out.id;
+    service.stop(false);  // park it in the spool
+  }
+  // The newest result and the newest queued job lose their files: the
+  // journal is all that still names those ids, and the boot tombstones
+  // them.  A new submission must not be handed either id.
+  ASSERT_EQ(::unlink((spool.path + "/results/" + std::to_string(lost_result) +
+                      ".res")
+                         .c_str()),
+            0);
+  ASSERT_EQ(::unlink((spool.path + "/jobs/" + std::to_string(lost_job) +
+                      ".job")
+                         .c_str()),
+            0);
+  for (int boot = 0; boot < 2; ++boot) {
+    Service service(cfg);
+    for (const std::uint64_t id : {lost_result, lost_job}) {
+      const std::optional<JobStatus> tomb = service.status(id);
+      ASSERT_TRUE(tomb.has_value()) << "boot " << boot << " id " << id;
+      EXPECT_EQ(tomb->outcome, JobOutcome::FailedHonest);
+    }
+    const SubmitOutcome fresh = service.submit(lint(3 + boot));
+    ASSERT_TRUE(fresh.admitted);
+    EXPECT_GT(fresh.id, std::max(lost_result, lost_job)) << "boot " << boot;
+    EXPECT_EQ(wait_terminal(service, fresh.id).outcome, JobOutcome::Ok);
+    service.stop(true);
+  }
+}
+
 // --- boot-time fsck -----------------------------------------------------------
 
 namespace fscktest {
@@ -1203,6 +1363,7 @@ std::string job_frame(std::uint64_t id) {
   Request frame;
   frame.verb = "JOB";
   frame.fields["id"] = std::to_string(id);
+  frame.fields["kind"] = "lint";  // a frame fsck can parse as a submit
   return encode_request(frame);
 }
 
@@ -1374,6 +1535,68 @@ TEST(ServeFsckTest, SurvivesChaosAndConvergesOnceCalm) {
   for (const FsckItem& item : final_pass.items)
     EXPECT_EQ(item.finding, FsckFinding::LedgerDrift)
         << to_string(item.finding) << " " << item.path << " " << item.action;
+}
+
+/// Every regular file under `root` (one directory level deep) with its
+/// bytes, read past the fault seam.
+std::map<std::string, std::string> spool_files(const std::string& root) {
+  std::map<std::string, std::string> files;
+  for (const std::string& dir :
+       {root, root + "/jobs", root + "/results", root + "/cache",
+        root + "/journal"}) {
+    DIR* d = ::opendir(dir.c_str());
+    if (d == nullptr) continue;
+    while (dirent* e = ::readdir(d)) {
+      const std::string path = dir + "/" + e->d_name;
+      struct stat st;
+      if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) continue;
+      std::ifstream in(path, std::ios::binary);
+      files[path] = std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    ::closedir(d);
+  }
+  return files;
+}
+
+TEST(ServeFsckTest, UnreadableIsNotCorrupt) {
+  ChaosGuard guard;
+  TempSpool spool("serve_test_fsck_eio");
+  {
+    Service service(fast_config(spool.path));
+    for (int i = 0; i < 3; ++i) {
+      const SubmitOutcome out = service.submit(make_request(
+          quickstart_text() + "\n# eio " + std::to_string(i) + "\n",
+          JobKind::Lint));
+      ASSERT_TRUE(out.admitted);
+      wait_terminal(service, out.id);
+    }
+    service.stop(true);
+  }
+  const FsckReport healthy = fsck_spool(spool.path, /*repair=*/false);
+  ASSERT_TRUE(healthy.clean()) << healthy.to_json();
+  const std::map<std::string, std::string> before = spool_files(spool.path);
+
+  // Every read fails with EIO.  That says nothing about the bytes: nothing
+  // may be quarantined, rebuilt or tombstoned, and the scrub must say it
+  // was incomplete.
+  iofault::Plan plan;
+  plan.seed = 5;
+  plan.rate = 1.0;
+  plan.kinds = 1u << static_cast<unsigned>(iofault::Kind::Eio);
+  iofault::arm(plan);
+  const FsckReport stormy = fsck_spool(spool.path, /*repair=*/true);
+  iofault::disarm();
+  EXPECT_GT(stormy.count(FsckFinding::Unreadable), 0) << stormy.to_json();
+  EXPECT_EQ(stormy.count(FsckFinding::CorruptJournal), 0);
+  EXPECT_EQ(stormy.count(FsckFinding::CorruptResult), 0);
+  EXPECT_EQ(stormy.count(FsckFinding::MissingResult), 0);
+  EXPECT_EQ(stormy.quarantines, 0);
+  EXPECT_GT(stormy.repair_failures, 0);
+  EXPECT_TRUE(spool_files(spool.path) == before)
+      << "an unreadable spool was changed on disk";
+
+  const FsckReport calm = fsck_spool(spool.path, /*repair=*/true);
+  EXPECT_TRUE(calm.clean()) << calm.to_json();
 }
 
 TEST(ServeDurabilityTest, QuarantineEvidenceChargedAndCappedOldestFirst) {
