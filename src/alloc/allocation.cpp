@@ -262,22 +262,27 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
   OBS_SPAN("alloc.enumerate");
   std::vector<Candidate> candidates;
   const double base_cost = arch.cost().total();
+  // Pricing needs the placement applied (boundary-edge wiring may extend or
+  // add links); every entry is priced on this one scratch architecture,
+  // reset by copy-assignment so its storage is reused.
+  Architecture scratch;
 
-  auto push = [&](Architecture applied, PeTypeId target_type,
-                  bool created_mode) {
-    Candidate cand;
-    cand.arch = std::move(applied);
-    cand.delta_cost = cand.arch.cost().total() - base_cost;
+  auto push = [&](Candidate cand) {
+    scratch = arch;
+    realize(scratch, cluster, cand, task_cluster);
+    cand.delta_cost = scratch.cost().total() - base_cost;
     cand.preference =
-        cluster.preference.empty() ? 0 : cluster.preference[target_type];
-    cand.created_mode = created_mode;
-    candidates.push_back(std::move(cand));
+        cluster.preference.empty() ? 0 : cluster.preference[cand.type];
+    candidates.push_back(cand);
   };
 
   auto try_existing = [&](int pe, int mode, bool created_mode) {
-    Architecture applied = arch;
-    apply(applied, cluster, pe, mode, task_cluster);
-    push(std::move(applied), arch.pes[pe].type, created_mode);
+    Candidate cand;
+    cand.pe = pe;
+    cand.type = arch.pes[pe].type;
+    cand.mode = mode;
+    cand.created_mode = created_mode;
+    push(cand);
   };
 
   // --- existing PE instances ---
@@ -391,13 +396,20 @@ std::vector<Allocator::Candidate> Allocator::enumerate(
   for (PeTypeId type = 0; params_.allow_new_pes && type < lib_.pe_count();
        ++type) {
     if (!cluster.feasible_pe[type] || pe_type_pruned(type)) continue;
-    Architecture applied = arch;
-    const int pe = applied.add_pe(type);
-    apply(applied, cluster, pe, 0, task_cluster);
-    push(std::move(applied), type, false);
-    candidates.back().new_instance = true;
+    Candidate cand;
+    cand.pe = static_cast<int>(arch.pes.size());
+    cand.type = type;
+    cand.new_instance = true;
+    push(cand);
   }
   return candidates;
+}
+
+void Allocator::realize(Architecture& arch, const Cluster& cluster,
+                        const Candidate& cand,
+                        const std::vector<int>& task_cluster) const {
+  if (cand.new_instance) arch.add_pe(cand.type);
+  apply(arch, cluster, cand.pe, cand.mode, task_cluster);
 }
 
 SchedProblem Allocator::problem_of(const Architecture& arch,
@@ -490,11 +502,16 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   refresh_cluster_priorities();
 
   // Quality bar: a candidate must be no worse than the *baseline* — the
-  // current architecture re-scheduled with the current priority levels.
-  // Judging against the baseline rather than the previous commit's numbers
-  // isolates each cluster's marginal effect from list-order churn caused by
-  // priority recomputation.
+  // current architecture's schedule.  Every evaluation uses the canonical
+  // sched_levels_, never the refreshed `levels` (those only order the
+  // clusters), so the baseline is a pure function of the architecture:
+  // while outcome.schedule is the schedule of outcome.arch (after a resume
+  // rebuilt it, and after every commit) its score IS the baseline and the
+  // scheduler is not run again.  The baseline is still charged to the
+  // evaluation budget, so budgets, checkpoint cadence and the tally keep
+  // their meaning.
   ScheduleScore committed = resume ? resume->committed : ScheduleScore{};
+  bool schedule_current = resume != nullptr;
 
   for (std::size_t step = already; step < clusters.size(); ++step) {
     int pick = -1;
@@ -558,10 +575,17 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       candidates = std::move(kept);
     }
 
-    if (keep_going())
-      committed = evaluate(outcome.arch, outcome.task_cluster).score();
+    if (keep_going()) {
+      if (schedule_current) {
+        ++sched_evals_;
+        obs::count("alloc.evals.reused");
+        committed = outcome.schedule.score();
+      } else {
+        committed = evaluate(outcome.arch, outcome.task_cluster).score();
+      }
+    }
 
-    int best = -1;
+    Architecture best_arch;
     ScheduleResult best_schedule;
     bool accepted = false;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -570,25 +594,23 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
       // scheduling pass (so the returned schedule still matches the
       // returned architecture) instead of exploring the whole array.
       if (i > 0 && !keep_going()) break;
-      ScheduleResult schedule =
-          evaluate(candidates[i].arch, outcome.task_cluster);
-      const bool power_ok =
-          params_.power_cap_mw <= 0 ||
-          candidates[i].arch.power_mw() <= params_.power_cap_mw;
-      if (power_ok && schedule.score().no_worse_than(committed)) {
-        best = static_cast<int>(i);
-        best_schedule = std::move(schedule);
-        accepted = true;
-        break;
-      }
-      if (best < 0 || schedule.score().better_than(best_schedule.score())) {
-        best = static_cast<int>(i);
+      Architecture trial = outcome.arch;
+      realize(trial, cluster, candidates[i], outcome.task_cluster);
+      ScheduleResult schedule = evaluate(trial, outcome.task_cluster);
+      const bool power_ok = params_.power_cap_mw <= 0 ||
+                            trial.power_mw() <= params_.power_cap_mw;
+      accepted = power_ok && schedule.score().no_worse_than(committed);
+      if (accepted || i == 0 ||
+          schedule.score().better_than(best_schedule.score())) {
+        best_arch = std::move(trial);
         best_schedule = std::move(schedule);
       }
+      if (accepted) break;
     }
     if (!accepted) ++outcome.clusters_with_misses;
-    outcome.arch = std::move(candidates[best].arch);
+    outcome.arch = std::move(best_arch);
     outcome.schedule = std::move(best_schedule);
+    schedule_current = true;
     placed[pick] = 1;
 
     // Priorities shift once actual execution/communication times are known
@@ -643,24 +665,21 @@ int Allocator::evacuate_devices(AllocationOutcome& outcome,
 
       bool all_placed = true;
       for (int c : residents) {
-        std::vector<Candidate> candidates =
+        const std::vector<Candidate> candidates =
             enumerate(trial, clusters[c], outcome.task_cluster);
         // Forbid returning to the victim or opening a fresh device: the
         // point is to live inside the remaining architecture.  Pick the
         // cheapest eligible placement.
-        int chosen = -1;
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (candidates[i].new_instance) continue;
-          if (candidates[i].arch.cluster_pe[c] == victim) continue;
-          if (chosen < 0 ||
-              candidates[i].delta_cost < candidates[chosen].delta_cost)
-            chosen = static_cast<int>(i);
+        const Candidate* chosen = nullptr;
+        for (const Candidate& cand : candidates) {
+          if (cand.new_instance || cand.pe == victim) continue;
+          if (!chosen || cand.delta_cost < chosen->delta_cost) chosen = &cand;
         }
-        if (chosen < 0) {
+        if (!chosen) {
           all_placed = false;
           break;
         }
-        trial = std::move(candidates[chosen].arch);
+        realize(trial, clusters[c], *chosen, outcome.task_cluster);
       }
       if (!all_placed) continue;
       if (trial.cost().total() >= outcome.arch.cost().total()) continue;
@@ -817,23 +836,26 @@ void Allocator::repair(AllocationOutcome& outcome,
       Architecture stripped = outcome.arch;
       unplace(stripped, cluster, clusters);
 
-      std::vector<Candidate> candidates =
+      const std::vector<Candidate> candidates =
           enumerate(stripped, cluster, outcome.task_cluster);
-      int best = -1;
+      bool have_best = false;
+      Architecture best_arch;
       ScheduleResult best_schedule;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
+      for (const Candidate& cand : candidates) {
         if (!keep_going()) break;
-        ScheduleResult schedule =
-            evaluate(candidates[i].arch, outcome.task_cluster);
-        if (best < 0 ||
+        Architecture trial = stripped;
+        realize(trial, cluster, cand, outcome.task_cluster);
+        ScheduleResult schedule = evaluate(trial, outcome.task_cluster);
+        if (!have_best ||
             schedule.score().better_than(best_schedule.score())) {
-          best = static_cast<int>(i);
+          best_arch = std::move(trial);
           best_schedule = std::move(schedule);
+          have_best = true;
         }
         if (best_schedule.feasible) break;
       }
       const bool strictly_better =
-          best >= 0 &&
+          have_best &&
           (best_schedule.placement_failures <
                outcome.schedule.placement_failures ||
            (best_schedule.placement_failures ==
@@ -843,7 +865,7 @@ void Allocator::repair(AllocationOutcome& outcome,
       // outcome.arch is only replaced on acceptance; rejecting a move needs
       // no undo because all work happened on copies.
       if (strictly_better) {
-        outcome.arch = std::move(candidates[best].arch);
+        outcome.arch = std::move(best_arch);
         outcome.schedule = std::move(best_schedule);
         ++outcome.repair_moves;
         improved = true;

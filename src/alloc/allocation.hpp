@@ -6,8 +6,9 @@
 // existing mode plus a possible new mode when the cluster's task graph is
 // compatible with every graph in the device's other modes), and a new
 // instance of every feasible PE type — ordered by incremental dollar cost.
-// Each candidate is evaluated by scheduling and finish-time estimation; the
-// cheapest allocation meeting all deadlines wins.
+// Every entry is priced, but only the candidates the search actually
+// evaluates are realized as architectures and scheduled (with finish-time
+// estimation); the cheapest allocation meeting all deadlines wins.
 #pragma once
 
 #include <functional>
@@ -23,9 +24,10 @@ namespace crusade {
 
 /// Snapshot handed to the progress hook after every committed whole-cluster
 /// placement in Allocator::run.  `committed` is the acceptance bar (the last
-/// baseline schedule's score) — after budget exhaustion the baseline
-/// is no longer recomputed, so a resume point must restore the stale bar
-/// exactly or the dirty-commit count of a resumed run could drift.
+/// baseline: the score of the schedule committed before that placement) —
+/// after budget exhaustion the baseline is no longer refreshed, so a resume
+/// point must restore the stale bar exactly or the dirty-commit count of a
+/// resumed run could drift.
 /// `stopped` is true once the anytime control has truncated the search —
 /// such wrap-up states are NOT on the uninterrupted search trajectory and
 /// must never be checkpointed (budget-exhausted states, by contrast, are
@@ -209,8 +211,13 @@ class Allocator {
            params_.pruned_link_types[type] != 0;
   }
 
+  /// One allocation-array entry: where the cluster would go and what it
+  /// costs, not the resulting architecture (realize() builds that, only for
+  /// the candidates the search evaluates or commits).
   struct Candidate {
-    Architecture arch;     ///< architecture with the placement applied
+    int pe = -1;     ///< target instance (for a new instance, its index-to-be)
+    PeTypeId type = -1;
+    int mode = 0;
     double delta_cost = 0;
     double preference = 0;
     bool created_mode = false;
@@ -225,6 +232,11 @@ class Allocator {
   std::vector<Candidate> enumerate(const Architecture& arch,
                                    const Cluster& cluster,
                                    const std::vector<int>& task_cluster) const;
+  /// Applies `cand` to `arch`, which must be the architecture it was
+  /// enumerated on — the one place a candidate turns into an architecture.
+  void realize(Architecture& arch, const Cluster& cluster,
+               const Candidate& cand,
+               const std::vector<int>& task_cluster) const;
   /// Applies placement + link wiring (reusing, extending or adding a link
   /// for every boundary edge to an already-placed cluster).
   void apply(Architecture& arch, const Cluster& cluster, int pe, int mode,

@@ -3,6 +3,7 @@
 
 #include "alloc/allocation.hpp"
 #include "tgff/generator.hpp"
+#include "tgff/profiles.hpp"
 
 namespace crusade {
 namespace {
@@ -318,6 +319,97 @@ TEST(AllocatorSeamTest, ScheduleArchitectureReproducesSearchSchedule) {
     expect_same_schedule(
         allocator.schedule_architecture(outcome.arch, outcome.task_cluster),
         outcome.schedule);
+  }
+}
+
+void expect_same_score(const ScheduleScore& got, const ScheduleScore& want) {
+  EXPECT_EQ(got.failures, want.failures);
+  EXPECT_EQ(got.tardiness, want.tardiness);
+  EXPECT_EQ(got.estimate, want.estimate);
+}
+
+// Every acceptance bar a run reports, in commit order, each next to the
+// score of the architecture the previous commit left behind, re-derived
+// outside the search by schedule_architecture.
+struct BarTrace {
+  std::vector<ScheduleScore> reported;
+  std::vector<ScheduleScore> rederived;
+  std::vector<AllocResumeState> states;  ///< resume point after each commit
+  std::vector<int> evals;                ///< tally after each commit
+  AllocationOutcome outcome;
+};
+
+BarTrace trace_bars(const FlatSpec& flat, const std::vector<Cluster>& clusters,
+                    const CompatibilityMatrix* compat,
+                    const AllocResumeState* resume = nullptr,
+                    int initial_evals = 0) {
+  BarTrace trace;
+  AllocParams params;
+  params.use_modes = compat != nullptr;
+  params.reboots_in_schedule = compat == nullptr;
+  params.initial_sched_evals = initial_evals;
+  const Allocator* self = nullptr;
+  const std::vector<int> task_cluster =
+      task_to_cluster(clusters, flat.task_count());
+  params.progress_hook = [&](const AllocProgress& p) {
+    trace.reported.push_back(p.committed);
+    trace.rederived.push_back(
+        self->schedule_architecture(*p.arch, task_cluster).score());
+    trace.states.push_back(
+        {*p.arch, *p.placed, p.clusters_with_misses, p.committed});
+    trace.evals.push_back(p.sched_evals);
+  };
+  Allocator allocator(flat, lib(), compat, params);
+  self = &allocator;
+  if (resume)
+    trace.rederived.push_back(
+        allocator.schedule_architecture(resume->arch, task_cluster).score());
+  trace.outcome = allocator.run(clusters, nullptr, resume);
+  return trace;
+}
+
+TEST(AllocatorSeamTest, AcceptanceBarIsTheCommittedSchedulesScore) {
+  // After a commit the allocator judges the next cluster against the score
+  // of the schedule it just committed instead of scheduling the same
+  // architecture again.  The oracle re-derives that schedule outside the
+  // search at every commit (and at the resume point): the bar the next
+  // placement reports must equal it field by field, with reconfiguration
+  // off and on, and on the first step of a resumed run.
+  for (const char* profile : {"A1TR", "HROST", "ADMR"}) {
+    const ExampleProfile p = profile_by_name(profile);
+    SpecGenerator gen(lib());
+    const Specification spec =
+        gen.generate(profile_config(p, 150.0 / p.tasks));
+    ASSERT_TRUE(spec.compatibility.has_value());
+    const FlatSpec flat(spec);
+    const auto clusters = cluster_tasks(flat, lib(), ClusteringParams{});
+    for (const bool reconfig : {false, true}) {
+      SCOPED_TRACE(std::string(profile) + (reconfig ? " rc" : " norc"));
+      const CompatibilityMatrix* compat =
+          reconfig ? &*spec.compatibility : nullptr;
+      const BarTrace full = trace_bars(flat, clusters, compat);
+      ASSERT_GT(full.reported.size(), 2u);
+      for (std::size_t k = 1; k < full.reported.size(); ++k) {
+        SCOPED_TRACE("commit " + std::to_string(k));
+        expect_same_score(full.reported[k], full.rederived[k - 1]);
+      }
+
+      // Resume mid-allocation: the first bar after the resume comes from
+      // the rebuilt schedule, and the run continues on the same trajectory.
+      const std::size_t mid = full.states.size() / 2;
+      const BarTrace resumed = trace_bars(flat, clusters, compat,
+                                          &full.states[mid], full.evals[mid]);
+      ASSERT_EQ(resumed.reported.size(), full.reported.size() - mid - 1);
+      for (std::size_t k = 0; k < resumed.reported.size(); ++k) {
+        SCOPED_TRACE("resumed commit " + std::to_string(k));
+        expect_same_score(resumed.reported[k], resumed.rederived[k]);
+        expect_same_score(resumed.reported[k], full.reported[mid + 1 + k]);
+        EXPECT_EQ(resumed.evals[k], full.evals[mid + 1 + k]);
+      }
+      EXPECT_EQ(resumed.outcome.arch.cluster_pe, full.outcome.arch.cluster_pe);
+      EXPECT_EQ(resumed.outcome.sched_evaluations,
+                full.outcome.sched_evaluations);
+    }
   }
 }
 

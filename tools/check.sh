@@ -15,20 +15,22 @@
 #   8. boot-time fsck smoke: `crusaded --fsck` over a deliberately corrupted
 #      spool — dry-run classifies without touching disk, the repair pass
 #      quarantines with evidence, and a second scrub converges clean
-#   9. ASan/UBSan configuration build + entire test suite
-#  10. fault-injection harness + survive campaign under ASan/UBSan (the
+#   9. large golden answers: the disabled-by-default repair-bound
+#      GoldenLarge cases (A1TR@0.6, HROST@0.25), answer pins plus wall time
+#  10. ASan/UBSan configuration build + entire test suite
+#  11. fault-injection harness + survive campaign under ASan/UBSan (the
 #      mutated-spec and fault-replay paths are where memory bugs would hide)
-#  11. UBSan-only configuration (RelWithDebInfo: optimizer-exposed UB that
+#  12. UBSan-only configuration (RelWithDebInfo: optimizer-exposed UB that
 #      the Debug ASan build can miss) + entire test suite + survive campaign
-#  12. chaos soak: the seeded environment-fault campaign (ServeChaosTest +
+#  13. chaos soak: the seeded environment-fault campaign (ServeChaosTest +
 #      IoFaultTest) under ASan/UBSan, plus tools/chaos_soak.sh driving a
 #      live daemon with --chaos across seeds (including the restart storm),
 #      plus the chaos availability bench with BENCH_chaos.json round-tripped
 #      through a strict parser
-#  13. recovery-time bench: dirty-spool restarts across growing populations,
+#  14. recovery-time bench: dirty-spool restarts across growing populations,
 #      BENCH_recovery.json parse-back asserts every boot recovered all
 #      terminal answers and parked frames (the honesty gate)
-#  14. TSan configuration: serve_test (the one multi-threaded subsystem,
+#  15. TSan configuration: serve_test (the one multi-threaded subsystem,
 #      including the seeded chaos campaign) plus a live `crusaded` daemon
 #      driven by a `crusade submit` loop — races between the supervisor,
 #      workers, and socket handlers surface here, not in the
@@ -375,6 +377,13 @@ if [[ "$fast" == 1 ]]; then
   echo "check.sh: CI suite green (sanitizer pass skipped: --fast)"
   exit 0
 fi
+
+stage "large golden answers (repair-bound A1TR@0.6, HROST@0.25)"
+# Disabled by default in ctest (seconds each); each case prints its wall
+# time next to its pinned digest, sched_evals and repair_moves.
+./build-ci/tests/golden_test --gtest_filter='GoldenLarge.*' \
+  --gtest_also_run_disabled_tests
+stage_ok
 
 stage "address/undefined sanitizer configuration"
 cmake --preset asan
