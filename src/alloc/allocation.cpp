@@ -70,9 +70,9 @@ SchedProblem make_sched_problem(const Architecture& arch, const FlatSpec& flat,
 PriorityLevels current_priority_levels(const Architecture& arch,
                                        const FlatSpec& flat,
                                        const ResourceLibrary& lib,
-                                       const std::vector<int>& task_cluster) {
-  std::vector<TimeNs> task_time = default_task_times(flat, lib);
-  std::vector<TimeNs> edge_time = default_edge_times(flat, lib);
+                                       const std::vector<int>& task_cluster,
+                                       std::vector<TimeNs> task_time,
+                                       std::vector<TimeNs> edge_time) {
   for (int tid = 0; tid < flat.task_count(); ++tid) {
     const int c = task_cluster[tid];
     if (c < 0 || arch.cluster_pe[c] < 0) continue;
@@ -108,7 +108,10 @@ Allocator::Allocator(const FlatSpec& flat, const ResourceLibrary& lib,
   CRUSADE_REQUIRE(!params_.use_modes || compat_ != nullptr,
                   "mode-aware allocation needs compatibility vectors");
   sched_evals_ = params_.initial_sched_evals;
-  sched_levels_ = scheduling_levels(flat_, lib_);
+  default_task_time_ = default_task_times(flat_, lib_);
+  default_edge_time_ = default_edge_times(flat_, lib_);
+  sched_levels_ =
+      priority_levels(flat_, default_task_time_, default_edge_time_);
   optimistic_exec_.assign(flat_.task_count(), 0);
   for (int tid = 0; tid < flat_.task_count(); ++tid) {
     const Task& t = flat_.task(tid);
@@ -485,8 +488,9 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
   for (char p : placed)
     if (p) ++already;
   std::vector<double> cluster_priority(clusters.size(), 0);
-  PriorityLevels levels = current_priority_levels(outcome.arch, flat_, lib_,
-                                                  outcome.task_cluster);
+  PriorityLevels levels = current_priority_levels(
+      outcome.arch, flat_, lib_, outcome.task_cluster, default_task_time_,
+      default_edge_time_);
   auto refresh_cluster_priorities = [&]() {
     for (std::size_t c = 0; c < clusters.size(); ++c) {
       if (placed[c]) continue;
@@ -616,7 +620,8 @@ AllocationOutcome Allocator::run(const std::vector<Cluster>& clusters,
     // Priorities shift once actual execution/communication times are known
     // (§5: recomputed after each allocation).
     levels = current_priority_levels(outcome.arch, flat_, lib_,
-                                     outcome.task_cluster);
+                                     outcome.task_cluster, default_task_time_,
+                                     default_edge_time_);
     refresh_cluster_priorities();
 
     if (params_.progress_hook) {

@@ -141,12 +141,16 @@ SchedProblem make_sched_problem(const Architecture& arch, const FlatSpec& flat,
                                 bool reboots_in_schedule = true);
 
 /// Priority levels from the current allocation state: allocated tasks/edges
-/// use actual times, the rest the worst-case defaults (§5).  Drives the
-/// outer loop's cluster ordering.
+/// use actual times, the rest the worst-case defaults (§5) passed in as
+/// `task_time` / `edge_time` (default_task_times / default_edge_times, which
+/// depend on the specification and library only).  Drives the outer loop's
+/// cluster ordering.
 PriorityLevels current_priority_levels(const Architecture& arch,
                                        const FlatSpec& flat,
                                        const ResourceLibrary& lib,
-                                       const std::vector<int>& task_cluster);
+                                       const std::vector<int>& task_cluster,
+                                       std::vector<TimeNs> task_time,
+                                       std::vector<TimeNs> edge_time);
 
 /// Canonical list-scheduling priorities: deadline-based levels from the
 /// worst-case (pre-allocation) time estimates.  Every scheduling call across
@@ -281,7 +285,11 @@ class Allocator {
   /// Minimum feasible execution time per task — the admissible estimate fed
   /// to the scheduler's finish-time estimation pass.
   std::vector<TimeNs> optimistic_exec_;
-  /// Canonical list-scheduling priorities (see scheduling_levels()).
+  /// Worst-case (pre-allocation) estimates: default_task_times and
+  /// default_edge_times, computed once.
+  std::vector<TimeNs> default_task_time_, default_edge_time_;
+  /// Canonical list-scheduling priorities (see scheduling_levels()), derived
+  /// from the same estimates.
   PriorityLevels sched_levels_;
   /// Per-graph FPGA purity (§4.1) applies while modes are being formed
   /// during allocation; post-allocation moves (repair, evacuation) may pack

@@ -70,8 +70,10 @@ Specification read_specification_file(const std::string& path,
                                       const ResourceLibrary& lib,
                                       const SpecReadOptions& options);
 
-/// Writes a specification in the same format (round-trips through
-/// read_specification).
+/// Writes a specification in the same format, which read_specification
+/// reads back — except task preference vectors, which the format does not
+/// carry: a round trip leaves them empty, so a spec with preferences can
+/// synthesize a different answer after it.
 void write_specification(std::ostream& out, const Specification& spec,
                          const ResourceLibrary& lib);
 void write_specification_file(const std::string& path,

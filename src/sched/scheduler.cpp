@@ -85,6 +85,10 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
   for (std::size_t r = 0; r < problem.resources.size(); ++r)
     reboot_finish[r].assign(problem.resources[r].mode_boot.size(), -1);
 
+  // One fit scratch for the whole run: placements allocate nothing once it
+  // has grown, and its tallies are flushed to the sched.fit.* counters once.
+  Timeline::FitScratch fit;
+
   std::vector<int> pending_preds(n_tasks, 0);
   std::priority_queue<ReadyEntry> ready;
   for (int tid = 0; tid < n_tasks; ++tid) {
@@ -104,7 +108,7 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
     if (done >= 0) return done;
     const TimeNs boot = info.mode_boot[mode];
     const TimeNs start =
-        result.timelines[res].earliest_fit(0, boot, period, mode);
+        result.timelines[res].earliest_fit(fit, 0, boot, period, mode);
     if (start == kNoTime) {
       ++result.placement_failures;
       done = 0;  // give up on modeling this reboot; failure already recorded
@@ -138,7 +142,7 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
       TimeNs e_finish = result.task_finish[src];
       if (link >= 0 && comm > 0) {
         const TimeNs e_start = result.timelines[link].earliest_fit(
-            result.task_finish[src], comm, period, /*mode=*/-1);
+            fit, result.task_finish[src], comm, period, /*mode=*/-1);
         if (e_start == kNoTime) {
           ++result.placement_failures;
           result.failed_edges.push_back(eid);
@@ -184,12 +188,13 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
       // task (response-time inflation, per-preemption OS overhead);
       // longer-period background is preempted by it and charged as a
       // processor-sharing factor; equal-period windows serialize exactly.
-      const auto hp = tl.preemptors(period, mode);
-      duration = inflate_for_preemption(duration, hp,
+      // One pass gathers all three bands.
+      tl.gather_preemptive(fit, period, mode);
+      duration = inflate_for_preemption(duration, fit.preemptors,
                                         info.preemption_overhead,
                                         /*bound=*/8 * period);
       if (duration != kNoTime) {
-        const double u_long = tl.utilization_above(period, mode);
+        const double u_long = fit.utilization_above;
         if (u_long > 0.85) {
           duration = kNoTime;  // CPU saturated by slower work
         } else {
@@ -206,11 +211,10 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
         // else is configured in the same mode.
         start = t_ready;
       } else if (info.preemptive) {
-        start = tl.earliest_fit(t_ready, duration, period, mode,
-                                /*ignore_below=*/period,
-                                /*ignore_above=*/period);
+        // Equal-period (and one-shot) windows, gathered above.
+        start = tl.fit_gathered(fit, t_ready, duration);
       } else {
-        start = tl.earliest_fit(t_ready, duration, period, mode);
+        start = tl.earliest_fit(fit, t_ready, duration, period, mode);
       }
     }
     if (start == kNoTime) {
@@ -229,6 +233,13 @@ ScheduleResult run_list_scheduler(const SchedProblem& problem,
       result.total_tardiness += result.task_finish[tid] - deadline;
 
     release_successors();
+  }
+
+  if (obs::enabled()) {
+    obs::count("sched.fit.calls", fit.stats.calls);
+    obs::count("sched.fit.shifts", fit.stats.shifts);
+    obs::count("sched.fit.certified", fit.stats.certified);
+    obs::count("sched.fit.exhausted", fit.stats.exhausted);
   }
 
   // Finish-time estimation for the unallocated remainder (§5): propagate

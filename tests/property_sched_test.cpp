@@ -2,6 +2,8 @@
 // placement post-conditions, scheduler determinism, and RTA arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "alloc/allocation.hpp"
 #include "sched/scheduler.hpp"
 #include "tgff/generator.hpp"
@@ -69,6 +71,224 @@ TEST_P(TimelineFuzz, FitIsEarliestAmongProbes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineFuzz,
                          ::testing::Values(7u, 8u, 9u));
+
+// --- earliest_fit against earliest_fit_reference ---
+
+/// A window the query (mode, bands) must avoid, exactly as the reference
+/// filters them.
+bool relevant(const Timeline::Window& w, int mode, TimeNs ignore_below,
+              TimeNs ignore_above) {
+  if (mode >= 0 && w.mode >= 0 && w.mode != mode) return false;
+  const TimeNs p = w.span.period;
+  return !(p > 0 && (p < ignore_below ||
+                     (ignore_above != kNoTime && p > ignore_above)));
+}
+
+bool fits_at(const Timeline& tl, TimeNs start, TimeNs duration,
+             TimeNs period, int mode, TimeNs ignore_below,
+             TimeNs ignore_above) {
+  const PeriodicWindow cand{start, start + duration, period};
+  for (const auto& w : tl.windows())
+    if (relevant(w, mode, ignore_below, ignore_above) &&
+        periodic_overlap(cand, w.span))
+      return false;
+  return true;
+}
+
+/// A random timeline built with add(), not earliest_fit, so windows may
+/// overlap each other as they do on concurrent hardware (reboots of several
+/// modes, same-mode circuits).  Mixes modes, one-shot and empty windows and
+/// short periods that force long jump chains.
+Timeline random_timeline(Rng& rng, const std::vector<TimeNs>& periods,
+                         int windows) {
+  Timeline tl;
+  for (int i = 0; i < windows; ++i) {
+    const TimeNs period =
+        periods[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(periods.size()) - 1))];
+    const TimeNs span = period > 0 ? period : 4'000;
+    const TimeNs start = rng.uniform_int(0, span - 1);
+    const TimeNs len = rng.uniform_int(0, std::max<TimeNs>(1, span / 6));
+    tl.add(start, start + len, period,
+           static_cast<int>(rng.uniform_int(-1, 2)), i,
+           /*work=*/rng.uniform_int(0, len));
+  }
+  return tl;
+}
+
+class FitOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FitOracle, MatchesReferenceOnRandomTimelines) {
+  Rng rng(GetParam());
+  const std::vector<TimeNs> window_periods = {0,     100,   250,   500,
+                                              1'000, 2'000, 3'000, 8'000};
+  const std::vector<TimeNs> query_periods = {0, 500, 1'000, 2'000, 6'000};
+  Timeline::FitScratch scratch;  // reused: every query must reset it
+  int agreed = 0, kernel_only = 0;
+  for (int round = 0; round < 60; ++round) {
+    const Timeline tl = random_timeline(
+        rng, window_periods, static_cast<int>(rng.uniform_int(0, 24)));
+    for (int q = 0; q < 40; ++q) {
+      const TimeNs period = query_periods[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(query_periods.size()) -
+                                 1))];
+      const TimeNs duration = rng.uniform_int(0, 400);
+      const TimeNs ready = rng.uniform_int(0, 5'000);
+      const int mode = static_cast<int>(rng.uniform_int(-1, 2));
+      TimeNs below = 0, above = kNoTime;
+      switch (rng.uniform_int(0, 2)) {
+        case 1: below = period; break;
+        case 2: below = above = period; break;
+        default: break;
+      }
+      const TimeNs want =
+          tl.earliest_fit_reference(ready, duration, period, mode, below,
+                                    above);
+      const TimeNs got =
+          tl.earliest_fit(scratch, ready, duration, period, mode, below,
+                          above);
+      if (want != kNoTime) {
+        ASSERT_EQ(got, want) << "seed " << GetParam() << " round " << round
+                             << " query " << q;
+        ++agreed;
+      } else if (got != kNoTime) {
+        // The reference gave up at its cap; the kernel's start must fit.
+        ASSERT_GE(got, ready);
+        ASSERT_TRUE(fits_at(tl, got, duration, period, mode, below, above));
+        ++kernel_only;
+      }
+      // The public entry point answers the same.
+      ASSERT_EQ(tl.earliest_fit(ready, duration, period, mode, below, above),
+                got);
+    }
+  }
+  EXPECT_GT(agreed, 0);
+  EXPECT_EQ(scratch.stats.calls, 60 * 40);
+  EXPECT_GT(scratch.stats.shifts, scratch.stats.calls);  // jumps happen
+  RecordProperty("kernel_only", kernel_only);
+}
+
+TEST_P(FitOracle, PreemptiveGatherMatchesTheThreeBands) {
+  Rng rng(GetParam() ^ 0xbad5eed);
+  const std::vector<TimeNs> periods = {0, 250, 1'000, 2'000, 4'000};
+  Timeline::FitScratch scratch;
+  for (int round = 0; round < 60; ++round) {
+    const Timeline tl = random_timeline(
+        rng, periods, static_cast<int>(rng.uniform_int(0, 20)));
+    for (int q = 0; q < 20; ++q) {
+      const TimeNs period = periods[static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(periods.size()) - 1))];
+      const int mode = static_cast<int>(rng.uniform_int(-1, 2));
+      tl.gather_preemptive(scratch, period, mode);
+      std::vector<Timeline::Interference> preemptors;
+      double above = 0;
+      for (const auto& w : tl.windows()) {
+        if (mode >= 0 && w.mode >= 0 && w.mode != mode) continue;
+        if (w.span.period > 0 && w.span.period < period)
+          preemptors.push_back({w.work, w.span.period});
+        if (w.span.period > period)
+          above += static_cast<double>(w.work) /
+                   static_cast<double>(w.span.period);
+      }
+      ASSERT_EQ(scratch.preemptors.size(), preemptors.size());
+      for (std::size_t i = 0; i < preemptors.size(); ++i) {
+        ASSERT_EQ(scratch.preemptors[i].exec, preemptors[i].exec);
+        ASSERT_EQ(scratch.preemptors[i].period, preemptors[i].period);
+      }
+      ASSERT_EQ(scratch.utilization_above, above);  // same summation order
+      const TimeNs duration = rng.uniform_int(1, 300);
+      const TimeNs ready = rng.uniform_int(0, 3'000);
+      const TimeNs want = tl.earliest_fit_reference(ready, duration, period,
+                                                    mode, period, period);
+      const TimeNs got = tl.fit_gathered(scratch, ready, duration);
+      if (want != kNoTime) {
+        ASSERT_EQ(got, want);
+      }
+    }
+  }
+}
+
+TEST_P(FitOracle, LeastStartOrNoFitByBruteForce) {
+  // Periods <= 2'000 ns, so one period of candidate starts can be scanned
+  // exhaustively.  Every window period is a multiple of 500, so each window
+  // blocks at most P/500 + 1 <= 5 stretches of a period and the 6W+8 cap
+  // can never be the reason for a kNoTime: the answer must be exact.
+  Rng rng(GetParam() ^ 0xb7e7e);
+  const std::vector<TimeNs> window_periods = {0, 500, 1'000, 2'000, 4'000};
+  const std::vector<TimeNs> query_periods = {500, 1'000, 2'000};
+  Timeline::FitScratch scratch;
+  int found = 0, none = 0;
+  for (int round = 0; round < 40; ++round) {
+    const Timeline tl = random_timeline(
+        rng, window_periods, static_cast<int>(rng.uniform_int(1, 16)));
+    for (int q = 0; q < 10; ++q) {
+      const TimeNs period = query_periods[static_cast<std::size_t>(
+          rng.uniform_int(0, 2))];
+      const TimeNs duration = rng.uniform_int(1, 150);
+      const TimeNs ready = rng.uniform_int(0, 3'000);
+      const int mode = static_cast<int>(rng.uniform_int(-1, 2));
+      const bool bands = rng.uniform_int(0, 1) == 1;
+      const TimeNs below = bands ? period : 0;
+      const TimeNs above = bands ? period : kNoTime;
+      TimeNs least = kNoTime;
+      for (TimeNs s = ready; s < ready + period && least == kNoTime; ++s)
+        if (fits_at(tl, s, duration, period, mode, below, above)) least = s;
+      const std::int64_t exhausted = scratch.stats.exhausted;
+      const TimeNs got =
+          tl.earliest_fit(scratch, ready, duration, period, mode, below,
+                          above);
+      ASSERT_EQ(scratch.stats.exhausted, exhausted);
+      ASSERT_EQ(got, least) << "seed " << GetParam() << " round " << round
+                            << " query " << q;
+      ++(least == kNoTime ? none : found);
+    }
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(none, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FitOracle,
+                         ::testing::Values(11u, 12u, 13u, 14u));
+
+TEST(FitOracleTest, SaturatedLinkIsCertifiedWithinOnePeriod) {
+  // A link whose transfers tile the whole 1'000 ns ring in 10 pieces.  Each
+  // window alone leaves room (so the reference never gets an every-phase
+  // verdict), but together they leave none: the reference circles the ring
+  // until its 6W+8 shift cap runs out, the kernel stops after one period.
+  Timeline tl;
+  for (int k = 0; k < 10; ++k) tl.add(k * 100, k * 100 + 100, 1'000, -1, k);
+  const TimeNs duration = 10;
+  for (const auto& w : tl.windows())
+    ASSERT_NE(min_shift_to_avoid({0, duration, 1'000}, w.span), kNoTime);
+  EXPECT_EQ(tl.earliest_fit_reference(0, duration, 1'000, -1), kNoTime);
+
+  Timeline::FitScratch scratch;
+  EXPECT_EQ(tl.earliest_fit(scratch, 0, duration, 1'000, -1), kNoTime);
+  EXPECT_EQ(scratch.stats.calls, 1);
+  EXPECT_EQ(scratch.stats.certified, 1);
+  EXPECT_EQ(scratch.stats.exhausted, 0);
+  EXPECT_EQ(scratch.stats.shifts, 10);  // one jump per window, one period
+  EXPECT_LT(scratch.stats.shifts, 6 * 10 + 8);
+
+  // A slower transfer (period 100'000) on the same ring: every window
+  // conflicts with it every gcd = 1'000, so fitting repeats every 1'000 and
+  // one sweep of the ring still proves no fit, far inside the cap that a
+  // full 100'000 of jumps would need.
+  EXPECT_EQ(tl.earliest_fit_reference(0, duration, 100'000, -1), kNoTime);
+  EXPECT_EQ(tl.earliest_fit(scratch, 0, duration, 100'000, -1), kNoTime);
+  EXPECT_EQ(scratch.stats.certified, 2);
+  EXPECT_EQ(scratch.stats.exhausted, 0);
+  EXPECT_EQ(scratch.stats.shifts, 20);
+}
+
+TEST(FitOracleTest, CollisionAtEveryPhaseIsCertified) {
+  Timeline tl;
+  tl.add(0, 600, 1'000, -1, 0);
+  Timeline::FitScratch scratch;
+  EXPECT_EQ(tl.earliest_fit(scratch, 0, 500, 1'000, -1), kNoTime);
+  EXPECT_EQ(scratch.stats.certified, 1);
+  EXPECT_EQ(scratch.stats.shifts, 0);
+}
 
 // --- scheduler determinism ---
 

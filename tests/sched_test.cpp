@@ -103,11 +103,14 @@ TEST(TimelineTest, PreemptorsAndUtilization) {
   Timeline tl;
   tl.add(0, 100, 1000, -1, 0, /*work=*/80);
   tl.add(0, 500, 100'000, -1, 1, /*work=*/400);
-  const auto hp = tl.preemptors(10'000, -1);
-  ASSERT_EQ(hp.size(), 1u);
-  EXPECT_EQ(hp[0].exec, 80);  // pure work, not the inflated span
-  EXPECT_EQ(hp[0].period, 1000);
-  EXPECT_DOUBLE_EQ(tl.utilization_above(10'000, -1), 400.0 / 100'000);
+  Timeline::FitScratch fit;
+  tl.gather_preemptive(fit, 10'000, -1);
+  ASSERT_EQ(fit.preemptors.size(), 1u);
+  EXPECT_EQ(fit.preemptors[0].exec, 80);  // pure work, not the inflated span
+  EXPECT_EQ(fit.preemptors[0].period, 1000);
+  EXPECT_DOUBLE_EQ(fit.utilization_above, 400.0 / 100'000);
+  // Neither band blocks an equal-period placement.
+  EXPECT_EQ(tl.fit_gathered(fit, 0, 50), 0);
   EXPECT_NEAR(tl.utilization(), 80.0 / 1000 + 400.0 / 100'000, 1e-12);
 }
 
